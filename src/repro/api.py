@@ -1,4 +1,4 @@
-"""The stable programmatic facade over the repro stack (api 2.0).
+"""The stable programmatic facade over the repro stack (api 3.0).
 
 One spec, two verbs.  Everything a driver needs — regenerating paper
 figures, named parameter sweeps, 64-1024-node projections, skew /
@@ -12,41 +12,34 @@ handed to :func:`run` (in-process) or :func:`submit` (service):
 >>> t.columns
 ['nodes', 'dv', 'dv_fast', 'mpi']
 
-The spec carries the *whole* request: registry id (or named sweep),
-runner params, cluster overrides, a traffic model, a fault plan, an
-aggregation spec, a PDES shard count, and co-scheduled tenants.
-:func:`run` threads each field to the experiment runner when its
-signature accepts the matching keyword (``plan=``, ``shards=``,
-``tenants=``) and falls back to the scoped session overrides
-(:func:`repro.faults.session`, :func:`repro.sim.pdes.session`,
-:func:`repro.agg.session`) otherwise — sessions are process-global, so
-combining them with ``RunOptions(workers>1)`` is an error rather than
-a silent no-op in the pool workers.
+The spec carries the whole request: registry id (or named sweep),
+runner params, cluster overrides, a fault plan, a PDES shard count, and
+co-scheduled tenants.  Each experiment declares which of the last three
+it takes, and under which runner keyword
+(:attr:`repro.core.experiments.Experiment.spec_fields`); :func:`run`
+and :func:`submit` thread exactly those and reject any other set field
+before anything is simulated.  A traffic model or aggregation spec
+belongs to a cluster: build it with :func:`build_cluster`.
 
-The 1.x entry points (``run_figure`` / ``run_sweep`` / ``run_scaleout``
-/ ``run_skew`` / ``run_agg`` / ``submit_experiment``) survive as thin
-shims that emit :class:`DeprecationWarning` and delegate here; they
-will be removed in 3.0.  ``run_figures``, :func:`verify_goldens`,
-:func:`poll`, :func:`collect` and the builders are unchanged and
-undeprecated.
+``run_figures``, :func:`verify_goldens`, :func:`poll`, :func:`collect`
+and the builders complete the surface.
 
 The facade is versioned independently of the package
-(:data:`__api_version__`, semver); 2.0.0 is the spec-surface redesign.
-Only names in :data:`__all__` are covered by the contract.  Every
-public callable takes keyword-only arguments (enforced by
-``tools/check_api_signatures.py`` in ``make lint``).  Heavy imports
-happen inside the functions: ``import repro.api`` is cheap, and the
-lazy imports also break the cycle with the golden harness, which
-routes its figure runs back through :func:`run`.
+(:data:`__api_version__`, semver; docs/api.md has the 2.x → 3.0
+migration table).  Only names in :data:`__all__` are covered by the
+contract.  Every public callable takes keyword-only arguments
+(enforced by ``tools/check_api_signatures.py`` in ``make lint``).
+Heavy imports happen inside the functions: ``import repro.api`` is
+cheap, and the lazy imports also break the cycle with the golden
+harness, which routes its figure runs back through :func:`run`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-__api_version__ = "2.0.0"
+__api_version__ = "3.0.0"
 
 __all__ = [
     "__api_version__",
@@ -59,27 +52,26 @@ __all__ = [
     "build_traffic",
     "run",
     "submit",
-    "run_figure",
     "run_figures",
-    "run_sweep",
-    "run_scaleout",
-    "run_skew",
-    "run_agg",
     "verify_goldens",
-    "submit_experiment",
     "poll",
     "collect",
 ]
 
-#: Spec schema version :func:`run` understands (bumped with the major).
+#: Spec schema version :func:`run` understands.  api 3.0 only dropped
+#: fields, so every 2.0 document it still parses means what it did.
 SPEC_VERSION = 2
+
+#: The ExperimentSpec fields an experiment may declare, with their unset
+#: values (:attr:`repro.core.experiments.Experiment.spec_fields`).
+_SPEC_FIELDS = {"faults": None, "shards": 1, "tenants": ()}
 
 
 # ----------------------------------------------------------- datatypes ---
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment request, complete (api 2.0).
+    """One experiment request, complete (api 3.0).
 
     ``exp_id`` names a registry experiment
     (:data:`repro.core.experiments.REGISTRY`) or a named sweep
@@ -88,23 +80,17 @@ class ExperimentSpec:
     ``cluster`` is a convenience mapping merged into them (a key in
     both is an error, not a silent override).
 
-    The remaining fields carry what 1.x spread across six entry
-    points: a :class:`~repro.traffic.TrafficModel`, a
-    :class:`~repro.faults.FaultPlan`, an :class:`~repro.agg.AggSpec`,
-    a PDES ``shards`` count, and ``tenants`` — workload names (the
-    ``fig_interference`` idiom) or full
-    :class:`~repro.tenancy.TenantSpec` objects for runners that
-    co-schedule.  :func:`run` threads each to the runner's matching
-    keyword or a scoped session; see its docstring for the rules.
+    ``faults`` (a :class:`~repro.faults.FaultPlan`), ``shards`` (a PDES
+    shard count) and ``tenants`` (workload names, or full
+    :class:`~repro.tenancy.TenantSpec` objects) reach only the
+    experiments that declare them; see :func:`run`.
     """
 
     exp_id: str
     params: Mapping[str, Any] = field(default_factory=dict)
     version: int = SPEC_VERSION
     cluster: Mapping[str, Any] = field(default_factory=dict)
-    traffic: Optional["TrafficModel"] = None
     faults: Optional["FaultPlan"] = None
-    aggregation: Optional["AggSpec"] = None
     shards: int = 1
     tenants: Tuple[Any, ...] = ()
 
@@ -118,24 +104,12 @@ class ExperimentSpec:
                 f"(expected {SPEC_VERSION})")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.traffic is not None:
-            from repro.traffic.model import TrafficModel
-            if not isinstance(self.traffic, TrafficModel):
-                raise TypeError(
-                    "traffic must be a repro.traffic.TrafficModel "
-                    f"(got {type(self.traffic).__name__})")
         if self.faults is not None:
             from repro.faults import FaultPlan
             if not isinstance(self.faults, FaultPlan):
                 raise TypeError(
                     "faults must be a repro.faults.FaultPlan "
                     f"(got {type(self.faults).__name__})")
-        if self.aggregation is not None:
-            from repro.agg import AggSpec
-            if not isinstance(self.aggregation, AggSpec):
-                raise TypeError(
-                    "aggregation must be a repro.agg.AggSpec "
-                    f"(got {type(self.aggregation).__name__})")
         object.__setattr__(self, "tenants", tuple(self.tenants))
         if self.tenants:
             from repro.tenancy import TenantSpec
@@ -199,16 +173,11 @@ def _executor(options: Optional[RunOptions]) -> "Executor":
 
 def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
     """The spec as a JSON-able mapping (the ``repro submit
-    --spec-file`` wire format).  ``traffic`` models are live objects
-    with no stable wire form and raise."""
+    --spec-file`` wire format)."""
     import dataclasses
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"spec must be an ExperimentSpec, "
                         f"got {type(spec).__name__}")
-    if spec.traffic is not None:
-        raise ValueError(
-            "ExperimentSpec.traffic is not serialisable; rebuild it "
-            "at the receiving end with api.build_traffic")
     out: Dict[str, Any] = {"exp_id": spec.exp_id,
                            "version": spec.version,
                            "params": dict(spec.params)}
@@ -216,8 +185,6 @@ def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
         out["cluster"] = dict(spec.cluster)
     if spec.faults is not None:
         out["faults"] = dataclasses.asdict(spec.faults)
-    if spec.aggregation is not None:
-        out["aggregation"] = dataclasses.asdict(spec.aggregation)
     if spec.shards != 1:
         out["shards"] = spec.shards
     if spec.tenants:
@@ -246,10 +213,6 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
             faults["outages"] = tuple(
                 tuple(o) for o in faults["outages"])
         kwargs["faults"] = FaultPlan(**faults)
-    aggregation = data.pop("aggregation", None)
-    if aggregation is not None:
-        from repro.agg import AggSpec
-        kwargs["aggregation"] = AggSpec(**dict(aggregation))
     tenants = data.pop("tenants", None)
     if tenants:
         from repro.tenancy import spec_from_dict as _tenant_from_dict
@@ -307,31 +270,45 @@ def build_traffic(*, dist: str = "uniform",
 
 # ------------------------------------------------------------ the verbs ---
 
-def _merged_params(spec: ExperimentSpec) -> Dict[str, Any]:
-    """``params`` with the ``cluster`` convenience mapping folded in
-    (duplicate keys are a spec error, never a silent override)."""
-    merged = dict(spec.params)
-    clash = sorted(set(merged) & set(spec.cluster))
+def _runner_params(spec: ExperimentSpec) -> Dict[str, Any]:
+    """The runner keywords ``spec`` stands for: ``params`` with the
+    ``cluster`` mapping folded in, plus each set spec field under the
+    keyword its experiment declares.  A key in both ``params`` and
+    ``cluster``, or a set field the experiment does not declare, is a
+    spec error (named sweeps declare none)."""
+    from repro.core.experiments import REGISTRY
+    exp = REGISTRY.get(spec.exp_id)
+    declared = exp.spec_fields if exp is not None else {}
+    params = dict(spec.params)
+    clash = sorted(set(params) & set(spec.cluster))
     if clash:
         raise ValueError(
             f"key(s) {', '.join(clash)} appear in both params and "
             f"cluster; pick one")
-    merged.update(spec.cluster)
-    return merged
+    params.update(spec.cluster)
+    for name, unset in _SPEC_FIELDS.items():
+        value = getattr(spec, name)
+        if value == unset:
+            continue
+        kw = declared.get(name)
+        if kw is None:
+            takes = ", ".join(sorted(declared)) or "none"
+            raise ValueError(
+                f"experiment {spec.exp_id!r} does not take "
+                f"spec.{name} (spec fields it takes: {takes})")
+        if kw in params:
+            raise ValueError(f"spec.{name} conflicts with "
+                             f"params[{kw!r}]; pick one")
+        params[kw] = value
+    return params
 
 
 def _run_sweep_spec(spec: ExperimentSpec, name: str,
                     options: Optional[RunOptions]) -> "Table":
     """The named-sweep arm of :func:`run`: params are ``axes`` /
-    ``fixed`` mappings, the session-scoped spec fields stay empty."""
+    ``fixed`` mappings."""
     from repro.core.sweep import NAMED_SWEEPS, named_sweep
-    if (spec.traffic is not None or spec.faults is not None
-            or spec.aggregation is not None or spec.shards != 1
-            or spec.tenants):
-        raise ValueError(
-            "named sweeps take only params={'axes': ..., 'fixed': ...}; "
-            "traffic/faults/aggregation/shards/tenants do not apply")
-    params = _merged_params(spec)
+    params = _runner_params(spec)
     axes = params.pop("axes", None)
     fixed = params.pop("fixed", None)
     if params:
@@ -352,26 +329,12 @@ def run(*, spec: ExperimentSpec,
     Resolution: ``exp_id`` is looked up in the experiment registry,
     then in the named sweeps (``sweep:<name>`` forces the latter).
 
-    Field threading — for each non-default spec field, in order:
-
-    * ``faults`` → the runner's ``plan=`` keyword when its signature
-      accepts one, else a scoped :func:`repro.faults.session`;
-    * ``shards`` → the runner's ``shards=`` keyword, else
-      :func:`repro.sim.pdes.session`;
-    * ``tenants`` → the runner's ``tenants=`` keyword; there is no
-      tenancy session, so a runner without one rejects the field;
-    * ``aggregation`` → a scoped :func:`repro.agg.session` (no runner
-      takes it directly);
-    * ``traffic`` → the runner's ``traffic=`` keyword; models are
-      process-local objects, so there is no session fallback.
-
-    Scoped sessions are process-global and invisible to pool workers,
-    so any session fallback combined with ``RunOptions(workers > 1)``
-    raises instead of silently dropping the field.
+    ``faults``, ``shards`` and ``tenants`` reach the runner under the
+    keywords its registry entry declares (``Experiment.spec_fields``;
+    e.g. ``fig_scaleout`` takes ``faults`` as ``plan=``).  Setting one
+    the experiment does not declare raises ``ValueError`` naming the
+    experiment and the field.
     """
-    import contextlib
-    import inspect
-
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"spec must be an ExperimentSpec, "
                         f"got {type(spec).__name__}")
@@ -392,69 +355,11 @@ def run(*, spec: ExperimentSpec,
             f"unknown experiment {exp_id!r}; known experiments: "
             f"{sorted(REGISTRY)}; known sweeps: "
             f"{sorted(NAMED_SWEEPS)}")
-
-    runner = REGISTRY[exp_id].runner
-    if runner is None:
+    if REGISTRY[exp_id].runner is None:
         raise ValueError(f"{exp_id} has no table runner "
                          f"(see {REGISTRY[exp_id].bench})")
-    sig = inspect.signature(runner)
-    has_kwargs = any(p.kind is inspect.Parameter.VAR_KEYWORD
-                     for p in sig.parameters.values())
-
-    def accepts(kw: str) -> bool:
-        return kw in sig.parameters or has_kwargs
-
-    params = _merged_params(spec)
-
-    def thread(kw: str, value: Any, label: str) -> bool:
-        """Put ``value`` in ``params[kw]`` when the runner takes it;
-        returns False when the caller must fall back to a session."""
-        if not accepts(kw):
-            return False
-        if kw in params:
-            raise ValueError(
-                f"spec.{label} conflicts with params[{kw!r}]; "
-                f"pick one")
-        params[kw] = value
-        return True
-
-    stack = contextlib.ExitStack()
-    sessions: List[str] = []
-    with stack:
-        if spec.faults is not None and not thread("plan", spec.faults,
-                                                  "faults"):
-            from repro import faults as faults_mod
-            stack.enter_context(faults_mod.session(spec.faults))
-            sessions.append("faults")
-        if spec.shards != 1 and not thread("shards", spec.shards,
-                                           "shards"):
-            from repro.sim import pdes
-            stack.enter_context(pdes.session(spec.shards))
-            sessions.append("shards")
-        if spec.tenants and not thread("tenants", list(spec.tenants),
-                                       "tenants"):
-            raise ValueError(
-                f"experiment {exp_id!r} does not take tenants "
-                f"(no tenants= keyword); see fig_interference")
-        if spec.aggregation is not None and not thread(
-                "aggregation", spec.aggregation, "aggregation"):
-            from repro import agg
-            stack.enter_context(agg.session(spec.aggregation))
-            sessions.append("aggregation")
-        if spec.traffic is not None and not thread("traffic",
-                                                   spec.traffic,
-                                                   "traffic"):
-            raise ValueError(
-                f"experiment {exp_id!r} does not take a traffic "
-                f"model (no traffic= keyword); build the ClusterSpec "
-                f"yourself via api.build_cluster(traffic=...)")
-        if sessions and options is not None and options.workers > 1:
-            raise ValueError(
-                f"spec field(s) {', '.join(sessions)} fall back to "
-                f"process-global sessions for {exp_id!r}, which pool "
-                f"workers cannot see; use RunOptions(workers=1)")
-        return run_experiment(exp_id, executor=_executor(options),
-                              **params)
+    return run_experiment(exp_id, executor=_executor(options),
+                          **_runner_params(spec))
 
 
 def run_figures(*, exp_ids: Sequence[str],
@@ -528,44 +433,23 @@ def submit(*, spec: ExperimentSpec, priority: int = 0,
     completion in-process under ``state_dir``.  Returns the job status
     mapping (``job_id``, ``state``, ``attached``, ...).
 
-    Service jobs serialise to (exp_id, params), so the session-scoped
-    spec fields must be expressible as runner keywords: ``tenants``
-    threads to runners with a ``tenants=`` keyword (workload names
-    only), and ``traffic`` / ``faults`` / ``aggregation`` / ``shards``
-    are rejected — run those through :func:`run`.
+    Spec fields thread as in :func:`run`, with one more limit: jobs
+    serialise to (exp_id, params), so a value with no wire form — a
+    ``FaultPlan``, or ``TenantSpec`` objects in ``tenants`` — raises;
+    run those through :func:`run`.
     """
-    import inspect
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"spec must be an ExperimentSpec, "
                         f"got {type(spec).__name__}")
-    blocked = [n for n, v in (("traffic", spec.traffic),
-                              ("faults", spec.faults),
-                              ("aggregation", spec.aggregation))
-               if v is not None]
-    if spec.shards != 1:
-        blocked.append("shards")
-    if blocked:
+    params = _runner_params(spec)
+    if spec.faults is not None:
         raise ValueError(
-            f"spec field(s) {', '.join(blocked)} cannot ride a "
-            f"service job (jobs serialise to exp_id + params); "
-            f"use api.run for those")
-    params = _merged_params(spec)
-    if spec.tenants:
-        if not all(isinstance(t, str) for t in spec.tenants):
-            raise ValueError(
-                "service jobs take tenants as workload names only "
-                "(TenantSpec objects do not serialise into a job)")
-        from repro.core.experiments import REGISTRY
-        exp = REGISTRY.get(spec.exp_id)
-        if exp is None or exp.runner is None or "tenants" not in \
-                inspect.signature(exp.runner).parameters:
-            raise ValueError(
-                f"experiment {spec.exp_id!r} does not take tenants")
-        if "tenants" in params:
-            raise ValueError(
-                "spec.tenants conflicts with params['tenants']; "
-                "pick one")
-        params["tenants"] = list(spec.tenants)
+            "spec.faults cannot ride a service job (a FaultPlan has no "
+            "wire form); use api.run")
+    if not all(isinstance(t, str) for t in spec.tenants):
+        raise ValueError(
+            "service jobs take tenants as workload names only "
+            "(TenantSpec objects do not serialise into a job)")
     client = _service_client(endpoint, state_dir, goldens_dir)
     return client.submit(spec.exp_id, params=params, priority=priority)
 
@@ -599,132 +483,3 @@ def collect(*, job_id: str, endpoint: Optional[str] = None,
             f"job {job_id!r} result was not published "
             f"(golden gate refused): " + "; ".join(diffs))
     return Table.from_dict(record["table"])
-
-
-# ------------------------------------------------------ 1.x shims (2.0) ---
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated since api 2.0.0 and will be "
-        f"removed in 3.0; use {new} with an ExperimentSpec instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_figure(*, exp_id: Optional[str] = None,
-               spec: Optional[ExperimentSpec] = None,
-               options: Optional[RunOptions] = None,
-               **params: Any) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run`."""
-    _deprecated("run_figure", "api.run")
-    if (exp_id is None) == (spec is None):
-        raise ValueError("pass exactly one of exp_id= or spec=")
-    if spec is not None:
-        if params:
-            raise ValueError("params go inside ExperimentSpec when "
-                             "spec= is used")
-    else:
-        spec = ExperimentSpec(exp_id=exp_id, params=params)
-    return run(spec=spec, options=options)
-
-
-def run_sweep(*, name: str,
-              axes: Optional[Mapping[str, Sequence[Any]]] = None,
-              fixed: Optional[Mapping[str, Any]] = None,
-              options: Optional[RunOptions] = None) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="sweep:<name>"``."""
-    _deprecated("run_sweep", "api.run")
-    params: Dict[str, Any] = {}
-    if axes is not None:
-        params["axes"] = dict(axes)
-    if fixed is not None:
-        params["fixed"] = dict(fixed)
-    return run(spec=ExperimentSpec(exp_id=f"sweep:{name}",
-                                   params=params), options=options)
-
-
-def run_scaleout(*, workloads: Optional[Sequence[str]] = None,
-                 nodes: Optional[Sequence[int]] = None,
-                 fabrics: Optional[Sequence[str]] = None,
-                 seed: int = 2017, flow_impl: str = "fast",
-                 plan: Optional["FaultPlan"] = None,
-                 shards: int = 1,
-                 options: Optional[RunOptions] = None,
-                 **overrides: Any) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="fig_scaleout"``."""
-    _deprecated("run_scaleout", "api.run")
-    params: Dict[str, Any] = dict(seed=seed, flow_impl=flow_impl,
-                                  **overrides)
-    if workloads is not None:
-        params["workloads"] = tuple(workloads)
-    if nodes is not None:
-        params["nodes"] = tuple(nodes)
-    if fabrics is not None:
-        params["fabrics"] = tuple(fabrics)
-    return run(spec=ExperimentSpec(exp_id="fig_scaleout",
-                                   params=params, faults=plan,
-                                   shards=shards), options=options)
-
-
-def run_skew(*, nodes: int = 4, seed: int = 2017,
-             exponents: Optional[Sequence[float]] = None,
-             include_hotset: bool = True,
-             table_words: int = 1 << 12, n_updates: int = 1 << 9,
-             window: int = 256, flow_impl: str = "reference",
-             options: Optional[RunOptions] = None) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="fig_skew"``."""
-    _deprecated("run_skew", "api.run")
-    params: Dict[str, Any] = dict(
-        nodes=nodes, seed=seed, include_hotset=include_hotset,
-        table_words=table_words, n_updates=n_updates, window=window,
-        flow_impl=flow_impl)
-    if exponents is not None:
-        params["exponents"] = tuple(exponents)
-    return run(spec=ExperimentSpec(exp_id="fig_skew", params=params),
-               options=options)
-
-
-def run_agg(*, nodes: int = 8, seed: int = 2017,
-            exponents: Optional[Sequence[float]] = None,
-            include_hotset: bool = True,
-            watermarks: Optional[Sequence[int]] = None,
-            routing: str = "direct",
-            table_words: int = 1 << 10, n_updates: int = 1 << 12,
-            window: int = 64, flow_impl: str = "reference",
-            options: Optional[RunOptions] = None) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="fig_agg"``."""
-    _deprecated("run_agg", "api.run")
-    params: Dict[str, Any] = dict(
-        nodes=nodes, seed=seed, include_hotset=include_hotset,
-        routing=routing, table_words=table_words, n_updates=n_updates,
-        window=window, flow_impl=flow_impl)
-    if exponents is not None:
-        params["exponents"] = tuple(exponents)
-    if watermarks is not None:
-        params["watermarks"] = tuple(watermarks)
-    return run(spec=ExperimentSpec(exp_id="fig_agg", params=params),
-               options=options)
-
-
-def submit_experiment(*, exp_id: Optional[str] = None,
-                      params: Optional[Mapping[str, Any]] = None,
-                      spec: Optional[ExperimentSpec] = None,
-                      priority: int = 0,
-                      endpoint: Optional[str] = None,
-                      state_dir: str = ".repro-service",
-                      goldens_dir: str = "goldens") -> Dict[str, Any]:
-    """Deprecated 1.x entry point: use :func:`submit`."""
-    _deprecated("submit_experiment", "api.submit")
-    if (exp_id is None) == (spec is None):
-        raise ValueError("pass exactly one of exp_id= or spec=")
-    if spec is not None:
-        if params:
-            raise ValueError("params go inside ExperimentSpec when "
-                             "spec= is used")
-    else:
-        spec = ExperimentSpec(exp_id=exp_id, params=dict(params or {}))
-    return submit(spec=spec, priority=priority, endpoint=endpoint,
-                  state_dir=state_dir, goldens_dir=goldens_dir)

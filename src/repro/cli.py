@@ -23,7 +23,7 @@ Usage::
     python -m repro.cli verify --record              # refresh goldens
     python -m repro.cli serve --port 7351            # experiment daemon
     python -m repro.cli submit --exp fig4 --golden-config --port 7351
-    python -m repro.cli submit --spec-file spec.json  # api 2.0 spec
+    python -m repro.cli submit --spec-file spec.json  # ExperimentSpec JSON
     python -m repro.cli watch --job JOB --port 7351  # stream progress
     python -m repro.cli collect --job JOB --port 7351 --verify-golden
     python -m repro.cli list
@@ -473,7 +473,7 @@ def cmd_serve(args) -> int:
 
 def cmd_submit(args) -> int:
     """Submit one experiment; prints the job id (and nothing else, so
-    shells can capture it).  --spec-file takes a unified api 2.0
+    shells can capture it).  --spec-file takes a unified
     ExperimentSpec JSON document (see docs/api.md); otherwise --exp
     names the experiment, --golden-config merges the figure's pinned
     golden params, and --params adds/overrides JSON keyword arguments
@@ -729,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "2x this; default 4)")
     p.add_argument("--spec-file", default=None, metavar="SPEC.json",
                    dest="spec_file",
-                   help="submit: unified api 2.0 ExperimentSpec JSON "
+                   help="submit: unified ExperimentSpec JSON "
                         "document (replaces --exp/--params)")
     p.add_argument("--routing", choices=["direct", "tree"],
                    default="direct",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.cluster import ClusterSpec
 from repro.core.report import Table
@@ -23,7 +23,12 @@ from repro.core.report import Table
 
 @dataclass(frozen=True)
 class Experiment:
-    """One paper artifact (figure or table) and how to regenerate it."""
+    """One paper artifact (figure or table) and how to regenerate it.
+
+    ``spec_fields`` maps each :class:`repro.api.ExperimentSpec` field the
+    runner takes to the runner keyword it arrives under; ``repro.api``
+    rejects every other spec field for this experiment.
+    """
 
     exp_id: str                 #: e.g. "fig6a"
     title: str                  #: what the paper plots
@@ -33,6 +38,8 @@ class Experiment:
     paper_expectation: str      #: the shape the paper reports
     runner: Optional[Callable[..., Table]] = field(default=None,
                                                    compare=False)
+    spec_fields: Mapping[str, str] = field(default_factory=dict,
+                                           compare=False)
 
 
 def _run_fig3(seed: int = 2017, sizes=None) -> Table:
@@ -304,7 +311,8 @@ REGISTRY: Dict[str, Experiment] = {
             "benchmarks/test_perf_regression.py",
             "per-PE DV rates stay near-flat across five doublings; "
             "MPI per-PE rates decay (SS IX extended)",
-            _run_fig_scaleout),
+            _run_fig_scaleout,
+            spec_fields={"faults": "plan", "shards": "shards"}),
         Experiment(
             "fig_skew", "GUPS vs destination skew (DV/IB ratio)",
             "GUPS under uniform / Zipf(0.6, 1.2, 1.8) / hot-set "
@@ -345,7 +353,8 @@ REGISTRY: Dict[str, Experiment] = {
             "uplinks do not — straddled-leaf tenants slow each other "
             "by tens of percent (SS II deflection argument under "
             "co-location)",
-            _run_fig_interference),
+            _run_fig_interference,
+            spec_fields={"tenants": "tenants"}),
     ]
 }
 

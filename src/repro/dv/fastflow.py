@@ -281,7 +281,9 @@ class FastFlowNetwork(FlowNetwork):
         if self._obs_on:
             self._m_ej_wait.observe(wait)
         ej_end = ej_start + (int(self._f_n[idx]) - 1) * self._hop
-        floor = self._f_inj_end[idx] + self._f_tof[idx]
+        # Python floats, not pool scalars: same bits, and engine.now
+        # (hence every reported elapsed_s) keeps the reference's type.
+        floor = float(self._f_inj_end[idx]) + float(self._f_tof[idx])
         if floor > ej_end:
             ej_end = floor
         self._eject_free[dest] = ej_end

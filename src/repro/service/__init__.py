@@ -29,7 +29,7 @@ Quick use::
     record = svc.collect(job["job_id"])
 
 ``repro submit/status/watch/collect`` and
-``repro.api.submit_experiment/poll/collect`` are the CLI and facade
+``repro.api.submit/poll/collect`` are the CLI and facade
 faces of the same calls.
 """
 

@@ -28,6 +28,16 @@ Origins propagate through :class:`~repro.sim.process.Process`: the
 engine stamps ``_origin`` on every pop, and a resuming process re-roots
 it to its own origin (``Engine._track_origin`` hook), so each rank's
 cascade keeps its identity however deep the event chain gets.
+
+Re-rooting is where the origin tie-break can go wrong.  Serial orders a
+resumed cascade by the event that woke it; the merge key orders it by
+the resumed rank.  The two agree only while rank bodies first resume
+at each instant in rank order.  In a 4-node dissemination barrier rank
+3 can be woken (by rank 1's packet) before rank 1 is (by rank 3's), and
+the two cascades then tie the wrong way round.  Each shard therefore
+logs its rank bodies' resumptions (:meth:`ShardEngine.take_resumes`),
+and at every window the hub checks them across all shards
+(:func:`resume_order_violation`); a violation falls back to serial.
 """
 
 from __future__ import annotations
@@ -56,6 +66,13 @@ class ShardEngine(Engine):
         self.shard_id = shard_id
         self._origin = -1
         self._push = 0
+        #: heap entry of the event being processed
+        self._popped: tuple = ()
+        #: re-roots this window: (t, sched_t, origin, seq of the waking
+        #: event, local index, resumed origin)
+        self._resumes: list = []
+        #: rank bodies (processes spawned as cascade roots)
+        self._ranks: set = set()
 
     # -- scheduling (6-field merge keys) -----------------------------------
     def _enqueue(self, event, delay: float) -> None:
@@ -102,23 +119,41 @@ class ShardEngine(Engine):
         self._seq += n
         return first
 
+    def reroot(self, process: Process) -> None:
+        """Process-resumption hook: re-root to the process's origin,
+        logging the resumptions of rank bodies."""
+        origin = process.origin
+        if process in self._ranks:
+            self._resumes.append((self._now, *self._popped[1:4],
+                                  len(self._resumes), origin))
+        self._origin = origin
+
+    def take_resumes(self) -> list:
+        resumes, self._resumes = self._resumes, []
+        return resumes
+
     # -- processes ----------------------------------------------------------
     def process(self, generator: Generator, name: str = "",
                 origin: Optional[int] = None) -> Process:
         """Spawn a process; ``origin`` roots a new cascade (rank id)."""
-        if origin is not None:
-            self._origin = origin
-        return Process(self, generator, name=name)
+        if origin is None:
+            return Process(self, generator, name=name)
+        self._origin = origin
+        proc = Process(self, generator, name=name)
+        self._ranks.add(proc)
+        return proc
 
     # -- stepping -----------------------------------------------------------
     def step(self) -> None:
         if not self._queue:
             raise SimulationError("no scheduled events")
-        t, _sched, origin, _seq, _push, event = heapq.heappop(self._queue)
+        entry = heapq.heappop(self._queue)
+        t, _sched, origin, _seq, _push, event = entry
         if t < self._now:  # pragma: no cover - heap invariant guard
             raise SimulationError("event scheduled in the past")
         self._now = t
         self._origin = origin
+        self._popped = entry
         self._processed_count += 1
         if self._obs_on:
             self._m_events.inc()
@@ -141,3 +176,28 @@ class ShardEngine(Engine):
             self.step()
             n += 1
         return n
+
+
+def resume_order_violation(resumes_by_shard: list) -> Optional[str]:
+    """Why the merge order may differ from serial, or ``None``.
+
+    ``resumes_by_shard`` holds each shard's :meth:`ShardEngine.take_resumes`
+    log for one window.  Sorted by trigger key, the rank bodies that
+    first resume at an instant must do so in rank order; otherwise a
+    cascade woken earlier in serial sorts after one woken later.
+    """
+    merged = sorted(r for resumes in resumes_by_shard for r in resumes)
+    now, seen, top = None, set(), -1
+    for r in merged:
+        t, origin = r[0], r[-1]
+        if t != now:
+            now, seen, top = t, set(), origin
+        if origin in seen:
+            continue
+        if origin < top:
+            return (f"rank {origin} first resumes after rank {top} at "
+                    f"t={t!r}; the origin tie-break would reorder "
+                    "their cascades")
+        seen.add(origin)
+        top = origin
+    return None

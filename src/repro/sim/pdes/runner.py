@@ -53,7 +53,7 @@ from repro.ib.fastfabric import ShardedIBFabric
 from repro.ib.mpi import MPIRuntime
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.pdes import ShardingFallback
-from repro.sim.pdes.engine import ShardEngine
+from repro.sim.pdes.engine import ShardEngine, resume_order_violation
 from repro.sim.pdes.ledger import DVReplayer, IBReplayer, merge_rows
 
 _INF = float("inf")
@@ -142,10 +142,11 @@ class ShardState:
 
     def run_window(self, end: float) -> tuple:
         """Run [now, end); returns (events processed, ledger rows,
-        unsupported-reason-or-None)."""
+        unsupported-reason-or-None, re-root log)."""
         n = self.engine.run_window(end)
-        return n, self.net.take_rows(), getattr(self.net, "unsupported",
-                                                None)
+        return (n, self.net.take_rows(),
+                getattr(self.net, "unsupported", None),
+                self.engine.take_resumes())
 
     def price(self, prices: list) -> list:
         """Finish the window's transfers; returns cross-shard records."""
@@ -378,11 +379,14 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
             windows = _broadcast(handles, ("window", end))
 
             rows_by_shard = []
-            for n_ev, rows, unsupported in windows:
+            for n_ev, rows, unsupported, _ in windows:
                 if unsupported is not None:
                     raise ShardingFallback(unsupported)
                 total_events += n_ev
                 rows_by_shard.append(rows)
+            misorder = resume_order_violation([w[3] for w in windows])
+            if misorder is not None:
+                raise ShardingFallback(misorder)
             if max_events is not None and total_events > max_events:
                 raise SimulationError(
                     f"exceeded max_events={max_events} "

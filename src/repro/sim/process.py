@@ -92,7 +92,7 @@ class Process(Event):
         if self.engine._track_origin:
             # Everything this resumption schedules belongs to the same
             # cascade root (shard merge ordering, repro.sim.pdes).
-            self.engine._origin = self.origin
+            self.engine.reroot(self)
         try:
             if trigger.ok:
                 target = self._generator.send(trigger.value)

@@ -181,7 +181,7 @@ def run_cotenants(spec: ClusterSpec, tenants: Sequence[TenantSpec],
         # per-tenant aggregation on those workloads still raises.
         agg_spec = t.aggregation
         if agg_spec is None and t.workload in ("gups", "bfs"):
-            agg_spec = aggmod.resolve_spec(None, tenant=t.tenant_id)
+            agg_spec = aggmod.resolve_spec(None)
         wl = build_workload(t.workload, fabric=fabric,
                             n_ranks=part.n_ranks, seed=seed,
                             params=t.params, traffic=t.traffic,

@@ -1,19 +1,20 @@
-"""The api 2.0 contract: one spec, two verbs, warning 1.x shims.
+"""The api contract (3.0): one spec, two verbs, declared spec fields.
 
-Everything the redesign promises (docs/api.md): :class:`ExperimentSpec`
-carries the whole request; :func:`api.run` threads each field to the
-runner's keyword or a scoped session; :func:`api.submit` takes the same
-spec over the service wire; the six 1.x entry points keep working but
-emit ``DeprecationWarning``; and the spec has an exact JSON round-trip
-(the ``repro submit --spec-file`` format).
+Everything the facade promises (docs/api.md): :class:`ExperimentSpec`
+carries the whole request; :func:`api.run` threads each set spec field
+to the runner keyword its experiment declares and rejects every other
+one; :func:`api.submit` takes the same spec over the service wire; and
+the spec has an exact JSON round-trip (the ``repro submit --spec-file``
+format).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 import repro.api as api
-from repro.agg import AggSpec
+from repro.core.experiments import REGISTRY
 from repro.faults import FaultPlan
 from repro.tenancy import TenantSpec
 
@@ -72,40 +73,85 @@ def test_run_threads_tenants_keyword():
 
 def test_run_rejects_tenants_without_runner_keyword():
     spec = api.ExperimentSpec(exp_id="fig4", tenants=("gups", "fft"))
-    with pytest.raises(ValueError, match="does not take tenants"):
+    with pytest.raises(ValueError, match="does not take spec.tenants"):
         api.run(spec=spec)
 
 
-def test_run_rejects_traffic_without_runner_keyword():
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              traffic=api.build_traffic())
-    with pytest.raises(ValueError, match="does not take a traffic"):
-        api.run(spec=spec)
-
-
-def test_run_faults_session_fallback_matches_explicit_session():
-    """fig6a has no plan= keyword, so spec.faults must arrive via the
-    scoped faults.session — identically to wrapping the call by hand."""
-    from repro import faults
+def test_run_threads_declared_faults_and_shards_as_runner_keywords():
+    """fig_scaleout declares faults as plan= and shards as shards=:
+    the spec fields must land exactly where explicit params would."""
+    params = {"workloads": ("gups",), "nodes": (64,), "fabrics": ("dv",)}
     plan = FaultPlan(seed=3, pcie_delay_prob=0.2)
     via_spec = api.run(spec=api.ExperimentSpec(
-        exp_id="fig6a", params={"seed": 1, "nodes": (4,)}, faults=plan))
-    with faults.session(plan):
-        via_session = api.run(spec=api.ExperimentSpec(
-            exp_id="fig6a", params={"seed": 1, "nodes": (4,)}))
-    assert _rows(via_spec) == _rows(via_session)
+        exp_id="fig_scaleout", params=params, faults=plan, shards=2))
+    via_params = api.run(spec=api.ExperimentSpec(
+        exp_id="fig_scaleout",
+        params={**params, "plan": plan, "shards": 2}))
+    # repr: the mpi columns are NaN (dv only), and NaN != NaN
+    assert repr(_rows(via_spec)) == repr(_rows(via_params))
+    with pytest.raises(ValueError, match="conflicts with params"):
+        api.run(spec=api.ExperimentSpec(
+            exp_id="fig_scaleout", params={**params, "plan": plan},
+            faults=plan))
 
 
-def test_run_session_fallback_refuses_pool_workers():
-    spec = api.ExperimentSpec(exp_id="fig6a",
-                              params={"seed": 1, "nodes": (4,)},
-                              faults=FaultPlan(seed=3, pcie_delay_prob=0.2))
-    with pytest.raises(ValueError, match="process-global sessions"):
-        api.run(spec=spec, options=api.RunOptions(workers=2))
+_FIELD_VALUES = {"faults": FaultPlan(seed=3, drop_prob=0.1),
+                 "shards": 2,
+                 "tenants": ("gups", "fft")}
+
+
+def _undeclared():
+    return [(exp_id, name) for exp_id in sorted(REGISTRY)
+            if REGISTRY[exp_id].runner is not None
+            for name in sorted(_FIELD_VALUES)
+            if name not in REGISTRY[exp_id].spec_fields]
+
+
+@pytest.mark.parametrize("exp_id,name", _undeclared())
+def test_undeclared_spec_field_is_rejected_before_running(exp_id, name,
+                                                          tmp_path,
+                                                          monkeypatch):
+    """Every registry runner x every spec field it does not declare:
+    both verbs raise ValueError naming the experiment and the field,
+    and nothing is simulated."""
+    from repro.core import experiments
+    monkeypatch.setattr(experiments, "run_experiment", None)
+    spec = api.ExperimentSpec(exp_id=exp_id,
+                              **{name: _FIELD_VALUES[name]})
+    pattern = f"{exp_id}.*spec.{name}"
+    with pytest.raises(ValueError, match=pattern):
+        api.run(spec=spec)
+    with pytest.raises(ValueError, match=pattern):
+        api.submit(spec=spec, state_dir=str(tmp_path))
+
+
+def test_declared_fields_name_real_spec_fields():
+    fields = {f.name for f in dataclasses.fields(api.ExperimentSpec)}
+    assert fields == {"exp_id", "params", "version", "cluster", "faults",
+                      "shards", "tenants"}
+    declared = {exp_id: dict(e.spec_fields)
+                for exp_id, e in REGISTRY.items() if e.spec_fields}
+    assert declared == {
+        "fig_scaleout": {"faults": "plan", "shards": "shards"},
+        "fig_interference": {"tenants": "tenants"},
+    }
+
+
+def test_traffic_and_aggregation_belong_to_the_cluster():
+    from repro.agg import AggSpec
+    with pytest.raises(TypeError):
+        api.ExperimentSpec(exp_id="fig4", traffic=api.build_traffic())
+    with pytest.raises(TypeError):
+        api.ExperimentSpec(exp_id="fig4", aggregation=AggSpec())
+    model = api.build_traffic()
+    cluster = api.build_cluster(n_nodes=2, traffic=model,
+                                aggregation=AggSpec(watermark=8))
+    assert cluster.traffic is model
+    assert cluster.aggregation == AggSpec(watermark=8)
 
 
 def test_sweep_spec_rejects_session_fields_and_odd_params():
-    with pytest.raises(ValueError, match="do not apply"):
+    with pytest.raises(ValueError, match="does not take spec.shards"):
         api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
                                         shards=2))
     with pytest.raises(ValueError, match="unknown sweep param"):
@@ -123,8 +169,6 @@ def test_spec_rejects_wrong_version():
 def test_spec_rejects_wrong_field_types():
     with pytest.raises(TypeError, match="FaultPlan"):
         api.ExperimentSpec(exp_id="fig4", faults={"seed": 3})
-    with pytest.raises(TypeError, match="AggSpec"):
-        api.ExperimentSpec(exp_id="fig4", aggregation={"watermark": 8})
     with pytest.raises(TypeError, match="workload names"):
         api.ExperimentSpec(exp_id="fig4", tenants=(42,))
 
@@ -136,19 +180,11 @@ def test_spec_json_round_trip_is_exact():
         cluster={"seed": 5},
         faults=FaultPlan(seed=3, drop_prob=0.01,
                          link_outages=((1, 0.0, 1e-6),)),
-        aggregation=AggSpec(watermark=32),
         shards=2,
         tenants=("gups",
                  TenantSpec(tenant_id="t", workload="fft", n_ranks=4)))
     wire = json.loads(json.dumps(api.spec_to_dict(spec=spec)))
     assert api.spec_from_dict(data=wire) == spec
-
-
-def test_spec_to_dict_refuses_live_traffic_models():
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              traffic=api.build_traffic())
-    with pytest.raises(ValueError, match="not serialisable"):
-        api.spec_to_dict(spec=spec)
 
 
 def test_spec_from_dict_rejects_unknown_fields():
@@ -171,10 +207,15 @@ def test_submit_inline_end_to_end(tmp_path):
 def test_submit_rejects_session_scoped_fields(tmp_path):
     spec = api.ExperimentSpec(exp_id="fig4",
                               faults=FaultPlan(seed=3, drop_prob=0.1))
-    with pytest.raises(ValueError, match="cannot ride a service job"):
+    with pytest.raises(ValueError, match="does not take spec.faults"):
         api.submit(spec=spec, state_dir=str(tmp_path))
     spec = api.ExperimentSpec(exp_id="fig4", shards=4)
     with pytest.raises(ValueError, match="shards"):
+        api.submit(spec=spec, state_dir=str(tmp_path))
+    # declared, but a FaultPlan has no service-job wire form
+    spec = api.ExperimentSpec(exp_id="fig_scaleout",
+                              faults=FaultPlan(seed=3, drop_prob=0.1))
+    with pytest.raises(ValueError, match="cannot ride a service job"):
         api.submit(spec=spec, state_dir=str(tmp_path))
 
 
@@ -189,73 +230,21 @@ def test_submit_rejects_tenant_spec_objects(tmp_path):
 
 def test_submit_rejects_tenants_on_non_tenant_experiment(tmp_path):
     spec = api.ExperimentSpec(exp_id="fig4", tenants=("gups", "fft"))
-    with pytest.raises(ValueError, match="does not take tenants"):
+    with pytest.raises(ValueError, match="does not take spec.tenants"):
         api.submit(spec=spec, state_dir=str(tmp_path))
 
 
-# ---------------------------------------------------------- 1.x shims ---
+# ------------------------------------------------------------ version ---
 
-def test_run_figure_shim_warns_and_matches_run():
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              params={"seed": 1, "nodes": (2,)})
-    new = api.run(spec=spec)
-    with pytest.warns(DeprecationWarning, match="run_figure"):
-        old = api.run_figure(exp_id="fig4", seed=1, nodes=(2,))
-    assert _rows(old) == _rows(new)
-    with pytest.warns(DeprecationWarning):
-        via_spec = api.run_figure(spec=spec)
-    assert _rows(via_spec) == _rows(new)
-
-
-def test_run_sweep_shim_warns_and_matches_run():
-    with pytest.warns(DeprecationWarning, match="run_sweep"):
-        old = api.run_sweep(name="barrier", axes={"nodes": [2]})
-    new = api.run(spec=api.ExperimentSpec(
-        exp_id="sweep:barrier", params={"axes": {"nodes": [2]}}))
-    assert _rows(old) == _rows(new)
-
-
-def test_run_scaleout_shim_warns_and_matches_run():
-    with pytest.warns(DeprecationWarning, match="run_scaleout"):
-        old = api.run_scaleout(workloads=("gups",), nodes=(64,))
-    new = api.run(spec=api.ExperimentSpec(
-        exp_id="fig_scaleout",
-        params={"seed": 2017, "flow_impl": "fast",
-                "workloads": ("gups",), "nodes": (64,)}))
-    assert _rows(old) == _rows(new)
-
-
-def test_run_skew_shim_warns():
-    with pytest.warns(DeprecationWarning, match="run_skew"):
-        t = api.run_skew(nodes=2, exponents=(0.0,))
-    assert len(t.rows) >= 1
-
-
-def test_run_agg_shim_warns():
-    with pytest.warns(DeprecationWarning, match="run_agg"):
-        t = api.run_agg(nodes=2, exponents=(0.0,), watermarks=(1, 64))
-    assert len(t.rows) >= 1
-
-
-def test_submit_experiment_shim_warns_and_delegates(tmp_path):
-    with pytest.warns(DeprecationWarning, match="submit_experiment"):
-        status = api.submit_experiment(
-            exp_id="fig4", params={"seed": 1, "nodes": [2]},
-            state_dir=str(tmp_path / "svc"))
-    assert status["state"] == "done"
-
-
-def test_shims_reject_ambiguous_arguments():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="exactly one"):
-            api.run_figure()
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="exactly one"):
-            api.submit_experiment(
-                exp_id="fig4",
-                spec=api.ExperimentSpec(exp_id="fig4"))
-
-
-def test_api_version_is_two():
-    assert api.__api_version__.split(".")[0] == "2"
+def test_api_version_is_three():
+    assert api.__api_version__.split(".")[0] == "3"
+    # 3.0 only dropped spec fields: 2.0 documents keep their meaning
     assert api.SPEC_VERSION == 2
+    for name in ("run_figure", "run_sweep", "run_scaleout", "run_skew",
+                 "run_agg", "submit_experiment"):
+        assert not hasattr(api, name)
+
+
+def test_run_is_keyword_only():
+    with pytest.raises(TypeError):
+        api.run(api.ExperimentSpec(exp_id="fig4"))

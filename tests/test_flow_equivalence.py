@@ -188,11 +188,38 @@ def test_ib_fast_under_retry_faults():
 
 # ------------------------------------------- end-to-end application ---
 
+def _typed(r, keys):
+    """``{key: (type name, value)}``: a fast engine must match the
+    reference in type as well as value (a numpy scalar leaking into a
+    result changes its cache form)."""
+    return {k: (type(r[k]).__name__, r[k]) for k in keys}
+
+
 def _gups(impl, fabric, plan=None, **kw):
     spec = ClusterSpec(n_nodes=kw.pop("n_nodes", 8), flow_impl=impl)
     with faults.session(plan):
         r = run_gups(spec, fabric, **kw)
-    return {k: r[k] for k in ("elapsed_s", "mups_total", "mups_per_pe")}
+    return _typed(r, ("elapsed_s", "mups_total", "mups_per_pe"))
+
+
+def _app(impl, app):
+    from repro.apps import run_heat, run_vorticity
+    from repro.kernels import run_pingpong
+    if app == "pingpong":
+        r = run_pingpong(ClusterSpec(n_nodes=2, flow_impl=impl),
+                         "dma_cached", 1 << 12, iters=4)
+        return _typed(r, ("one_way_s", "bandwidth_gbs"))
+    spec = ClusterSpec(n_nodes=4, flow_impl=impl)
+    if app == "vorticity":
+        r = run_vorticity(spec, "dv", n=256, steps=2)
+    else:
+        r = run_heat(spec, "dv", n=48, steps=10)
+    return _typed(r, ("elapsed_s",))
+
+
+@pytest.mark.parametrize("app", ["pingpong", "vorticity", "heat"])
+def test_apps_fast_equals_reference_in_value_and_type(app):
+    assert _app("fast", app) == _app("reference", app)
 
 
 @pytest.mark.parametrize("fabric", ["dv", "mpi"])

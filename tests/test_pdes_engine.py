@@ -4,7 +4,7 @@ sequence burning, origin tracking, and the conservative window loop."""
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.pdes.engine import ShardEngine
+from repro.sim.pdes.engine import ShardEngine, resume_order_violation
 
 
 def test_heap_entries_carry_six_field_merge_keys():
@@ -82,6 +82,41 @@ def test_origin_restored_on_pop_and_rerooted_by_process():
     eng.process(prog(1), origin=1)
     eng.run()
     assert seen == [(0, 0), (1, 1), (0, 0), (1, 1)]
+
+
+def test_resume_log_records_rank_bodies_only():
+    eng = ShardEngine()
+
+    def helper():
+        yield eng.timeout(0.5)
+
+    def body():
+        eng.process(helper())
+        yield eng.timeout(1.0)
+
+    eng.process(body(), origin=7)
+    eng.run()
+    # start + the wake-up after the timeout; the helper is not logged
+    assert [(r[0], r[-1]) for r in eng.take_resumes()] == [(0.0, 7),
+                                                            (1.0, 7)]
+    assert eng.take_resumes() == []
+
+
+def test_resume_order_violation_flags_crossed_wakeups():
+    # (t, sched, origin, seq, k, resumed rank): at t=2 the trigger
+    # sorting first wakes rank 3, the later one rank 1
+    crossed = [[(2.0, 1.0, 1, 5, 0, 3)], [(2.0, 1.0, 3, 4, 0, 1)]]
+    assert "rank 1 first resumes after rank 3" in \
+        resume_order_violation(crossed)
+    in_order = [[(2.0, 1.0, 1, 5, 0, 1)], [(2.0, 1.0, 3, 4, 0, 3)]]
+    assert resume_order_violation(in_order) is None
+    # a rank resuming again later in the instant is not a crossing
+    again = [[(2.0, 1.0, 1, 5, 0, 1), (2.0, 1.0, 4, 9, 1, 1)],
+             [(2.0, 1.0, 3, 4, 0, 3)]]
+    assert resume_order_violation(again) is None
+    # different instants are independent
+    apart = [[(2.0, 1.0, 1, 5, 0, 3)], [(3.0, 1.0, 3, 4, 0, 1)]]
+    assert resume_order_violation(apart) is None
 
 
 def test_run_window_stops_strictly_before_horizon():

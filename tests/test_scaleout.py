@@ -1,11 +1,11 @@
-"""Cluster-projection sweeps (repro.core.scaling scale-out section,
-the ``fig_scaleout`` experiment, and the ``repro.api.run_scaleout``
-facade entry).
+"""Cluster-projection sweeps (repro.core.scaling scale-out section and
+the ``fig_scaleout`` experiment, run through ``repro.api.run``).
 
 The heavy 64-to-1024-node grid is exercised elsewhere by hand; these
 tests pin the cheap invariants tier-1 can afford: parameter laws,
-point/sweep plumbing, table shape, and the four-axis golden
-determinism of the committed ``fig_scaleout`` config.
+point/sweep plumbing and table shape.  The golden determinism of the
+committed ``fig_scaleout`` config is checked by
+``tests/test_golden_harness.py``.
 """
 
 import math
@@ -16,7 +16,6 @@ import repro.api as api
 from repro.core.scaling import (SCALEOUT_FABRICS, SCALEOUT_NODES,
                                 SCALEOUT_WORKLOADS, scaleout_params,
                                 scaleout_point, scaleout_sweep)
-from repro.golden import AXES, run_harness
 
 
 # ----------------------------------------------------------- params ------
@@ -52,6 +51,14 @@ def test_scaleout_point_shape_and_determinism():
     assert scaleout_point("gups", "dv", 64) == row
 
 
+@pytest.mark.parametrize("fabric", SCALEOUT_FABRICS)
+def test_scaleout_point_bfs(fabric):
+    row = scaleout_point("bfs", fabric, 8)
+    assert row["workload"] == "bfs" and row["nodes"] == 8
+    assert row["per_pe"] > 0 and row["elapsed_s"] > 0
+    assert row["total"] == pytest.approx(row["per_pe"] * 8)
+
+
 def test_scaleout_point_fast_matches_reference():
     fast = scaleout_point("gups", "dv", 64, flow_impl="fast")
     ref = scaleout_point("gups", "dv", 64, flow_impl="reference")
@@ -70,17 +77,14 @@ def test_scaleout_sweep_grid_order():
 # ----------------------------------------------------------- facade ------
 
 def test_run_scaleout_table_shape():
-    table = api.run_scaleout(workloads=("gups",), nodes=(64,))
+    table = api.run(spec=api.ExperimentSpec(
+        exp_id="fig_scaleout",
+        params={"workloads": ("gups",), "nodes": (64,)}))
     assert table.columns == ["workload", "nodes", "dv_per_pe",
                              "mpi_per_pe", "dv_total", "mpi_total"]
     (row,) = table.rows
     assert row[0] == "gups" and row[1] == 64
     assert row[4] == pytest.approx(row[2] * 64)
-
-
-def test_run_scaleout_is_keyword_only():
-    with pytest.raises(TypeError):
-        api.run_scaleout(("gups",), (64,))
 
 
 def test_facade_public_callables_are_keyword_only():
@@ -102,13 +106,3 @@ def test_defaults_cover_paper_grid():
     assert SCALEOUT_NODES == (64, 128, 256, 512, 1024)
     assert SCALEOUT_WORKLOADS == ("gups", "bfs", "fft")
 
-
-# ------------------------------------------------- golden determinism ----
-
-def test_fig_scaleout_four_axis_determinism():
-    """The committed fig_scaleout config is bit-identical along all
-    four harness axes (workers, cache, obs, all-zero fault plan)."""
-    reports = run_harness(["fig_scaleout"])
-    assert [r.axis for r in reports] == list(AXES)
-    for r in reports:
-        assert r.ok, r.describe()

@@ -275,7 +275,7 @@ def _mutated_goldens(tmp_path, params):
     """A goldens dir whose fig4 snapshot for ``params`` is perturbed."""
     gdir = tmp_path / "goldens"
     store = GoldenStore(str(gdir))
-    table = api.run_figure(exp_id="fig4", **params)
+    table = api.run(spec=api.ExperimentSpec(exp_id="fig4", params=params))
     store.record("fig4", params, table)
     (path,) = [p for p in gdir.iterdir() if p.name.startswith("fig4-")]
     entry = json.loads(path.read_text())
@@ -328,30 +328,17 @@ def test_ungated_spec_publishes_without_golden(service):
     assert record["golden"]["checked"] is False
 
 
-# ------------------------------------------------------- api 1.4.0 face ---
+# ------------------------------------------------------------ api face ---
 
 
 def test_api_submit_poll_collect_inline(tmp_path):
     state = str(tmp_path / "state")
-    job = api.submit_experiment(
-        spec=api.ExperimentSpec("fig4", TINY), state_dir=state
-    )
+    job = api.submit(spec=api.ExperimentSpec("fig4", TINY), state_dir=state)
     assert job["state"] == "done"
     status = api.poll(job_id=job["job_id"], state_dir=state)
     assert status["published"] is True
     table = api.collect(job_id=job["job_id"], state_dir=state)
     assert table.columns[0] == "nodes"
-
-
-def test_api_submit_rejects_ambiguous_spec(tmp_path):
-    with pytest.raises(ValueError, match="exactly one"):
-        api.submit_experiment(state_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="exactly one"):
-        api.submit_experiment(
-            exp_id="fig4",
-            spec=api.ExperimentSpec("fig4"),
-            state_dir=str(tmp_path),
-        )
 
 
 def test_inline_client_matches_service_results(tmp_path):

@@ -378,17 +378,6 @@ def test_fabric_view_translates_and_guards_ranks():
 
 # ------------------------------------------------- session shared state ---
 
-def test_agg_session_is_tenant_keyed():
-    outer = AggSpec(watermark=8)
-    inner = AggSpec(watermark=64)
-    with agg.session(outer, tenant="a"):
-        with agg.session(inner, tenant="b"):
-            assert agg.resolve_spec(None, tenant="a") is outer
-            assert agg.resolve_spec(None, tenant="b") is inner
-            assert agg.resolve_spec(None) is None
-    assert agg.resolve_spec(None, tenant="a") is None
-
-
 def test_nested_anonymous_agg_session_raises():
     with agg.session(AggSpec(watermark=8)):
         with pytest.raises(RuntimeError, match="nested anonymous"):

@@ -210,8 +210,10 @@ def test_routed_delivery_legacy_path_unchanged():
 # ------------------------------------------------- experiment and golden ---
 
 def test_fig_skew_table_shape_and_trend():
-    t = api.run_skew(nodes=2, exponents=(0.0, 1.2),
-                     table_words=1 << 10, n_updates=1 << 8)
+    t = api.run(spec=api.ExperimentSpec(
+        exp_id="fig_skew",
+        params={"nodes": 2, "exponents": (0.0, 1.2),
+                "table_words": 1 << 10, "n_updates": 1 << 8}))
     assert t.columns == ["traffic", "max_share", "dv_mups", "mpi_mups",
                          "dv_over_mpi"]
     assert len(t.rows) == 3          # two exponents + the hot set
@@ -244,8 +246,8 @@ def test_fig_skew_deterministic_along_axis(axis):
 # ------------------------------------------------------------ api and cli ---
 
 def test_api_surface():
-    assert api.__api_version__ == "2.0.0"
-    assert "run_skew" in api.__all__ and "build_traffic" in api.__all__
+    assert api.__api_version__ == "3.0.0"
+    assert "run" in api.__all__ and "build_traffic" in api.__all__
     model = api.build_traffic(dist="zipf",
                               dist_params={"exponent": 1.2},
                               arrivals="poisson",

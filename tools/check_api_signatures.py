@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint gate: the ``repro.api`` facade honours the 2.0 contract.
+"""Lint gate: the ``repro.api`` facade honours the 3.0 contract.
 
 Ruff has no rule for "public signatures must be keyword-only", so
 ``make lint`` runs this instead (see the per-file-ignores note in
@@ -10,11 +10,11 @@ and enforces four things on ``src/repro/api.py``:
   or public method accepts positional arguments beyond ``self`` — no
   positional-only params, no positional-or-keyword params, no
   ``*args``;
-* **surface**: every name the 2.0 contract promises
+* **surface**: every name the 3.0 contract promises
   (:data:`REQUIRED_SURFACE`) is defined;
-* **deprecation**: every 1.x shim (:data:`DEPRECATED`) contains a
-  ``warnings.warn(..., DeprecationWarning)`` call — old names must
-  keep working but must say so;
+* **removed**: none of the six 1.x entry points (:data:`REMOVED`) is
+  defined again, and nothing imports ``inspect`` — runners declare the
+  spec fields they take instead of having their signatures inspected;
 * **version**: ``__api_version__`` has major version
   :data:`EXPECTED_MAJOR`.
 
@@ -29,7 +29,7 @@ import sys
 
 API_FILE = pathlib.Path(__file__).resolve().parents[1] / "src/repro/api.py"
 
-#: Names the api 2.0 contract promises (functions and classes).
+#: Names the api 3.0 contract promises (functions and classes).
 REQUIRED_SURFACE = {
     "ExperimentSpec", "RunOptions", "GoldenVerdict",
     "spec_to_dict", "spec_from_dict",
@@ -38,29 +38,25 @@ REQUIRED_SURFACE = {
     "poll", "collect",
 }
 
-#: 1.x shims that must warn before delegating.
-DEPRECATED = {
+#: 1.x entry points removed in 3.0; they must not come back.
+REMOVED = {
     "run_figure", "run_sweep", "run_scaleout", "run_skew", "run_agg",
     "submit_experiment",
 }
 
 #: Required major version of ``__api_version__``.
-EXPECTED_MAJOR = 2
+EXPECTED_MAJOR = 3
 
 
-def _warns_deprecation(fn: ast.FunctionDef) -> bool:
-    """True when the function body (or a helper it calls by the
-    conventional ``_deprecated`` name) issues a DeprecationWarning."""
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if isinstance(callee, ast.Name) and callee.id == "_deprecated":
+def _imports_inspect(node: ast.AST) -> bool:
+    """True when ``node`` contains ``import inspect`` or ``from inspect
+    import ...``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import) and any(
+                a.name.split(".")[0] == "inspect" for a in sub.names):
             return True
-        if (isinstance(callee, ast.Attribute) and callee.attr == "warn"
-                and any(isinstance(a, ast.Name)
-                        and a.id == "DeprecationWarning"
-                        for a in node.args)):
+        if isinstance(sub, ast.ImportFrom) and (
+                sub.module or "").split(".")[0] == "inspect":
             return True
     return False
 
@@ -91,11 +87,6 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
         if isinstance(node, ast.FunctionDef):
             defined.add(node.name)
             check(node)
-            if node.name in DEPRECATED and not _warns_deprecation(node):
-                out.append(
-                    f"{path}:{node.lineno}: {node.name}: deprecated "
-                    f"1.x shim must warnings.warn(..., "
-                    f"DeprecationWarning)")
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             defined.add(node.name)
             for item in node.body:
@@ -103,17 +94,27 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
                     check(item, owner=f"{node.name}.")
         elif isinstance(node, ast.Assign):
             for tgt in node.targets:
-                if (isinstance(tgt, ast.Name)
-                        and tgt.id == "__api_version__"
+                if not isinstance(tgt, ast.Name):
+                    continue
+                defined.add(tgt.id)
+                if (tgt.id == "__api_version__"
                         and isinstance(node.value, ast.Constant)):
                     version = node.value.value
+                if tgt.id == "__all__":
+                    defined.update(
+                        e.value for e in ast.walk(node.value)
+                        if isinstance(e, ast.Constant)
+                        and isinstance(e.value, str))
 
     for name in sorted(REQUIRED_SURFACE - defined):
-        out.append(f"{path}:1: required api 2.0 name {name!r} is not "
+        out.append(f"{path}:1: required api 3.0 name {name!r} is not "
                    f"defined")
-    for name in sorted(DEPRECATED - defined):
-        out.append(f"{path}:1: deprecated 1.x name {name!r} must stay "
-                   f"defined (as a warning shim) until 3.0")
+    for name in sorted(REMOVED & defined):
+        out.append(f"{path}:1: 1.x name {name!r} was removed in 3.0 "
+                   f"and must not come back; use run/submit")
+    if _imports_inspect(tree):
+        out.append(f"{path}:1: the facade must not import inspect; "
+                   f"experiments declare their spec fields instead")
     if version is None:
         out.append(f"{path}:1: __api_version__ is not a literal "
                    f"assignment")
@@ -131,7 +132,7 @@ def main(argv: list[str]) -> int:
         print(line)
     if offences:
         print(f"check_api_signatures: {len(offences)} offence(s) — "
-              f"the repro.api contract is keyword-only", file=sys.stderr)
+              f"the repro.api 3.0 contract is broken", file=sys.stderr)
         return 1
     print(f"check_api_signatures: {path.name} ok")
     return 0
