@@ -15,15 +15,16 @@ FORMATTED = src/repro/golden src/repro/service \
             tests/test_golden_drift.py tests/test_cli_smoke.py \
             tests/test_service.py
 
-.PHONY: test test-all test-exec test-faults test-traffic test-agg \
+.PHONY: test test-all test-perfbench test-exec test-faults test-traffic test-agg \
         test-service test-tenancy bench obs help lint verify \
         golden-record ci scaleout skew agg interference serve
 
 help:
-	@echo "make ci            - what CI runs: lint -> tier-1 tests -> golden gate"
+	@echo "make ci            - what CI runs: lint -> tier-1 tests -> benchmark self-tests -> golden gate"
 	@echo "make lint          - ruff check + format --check (skips if ruff missing)"
 	@echo "make test          - fast test suite (excludes tests marked 'slow')"
 	@echo "make test-all      - full test suite, slow overhead guards included"
+	@echo "make test-perfbench - the benchmark's self-tests (perfbench/tests)"
 	@echo "make test-exec     - executor/cache test suite only"
 	@echo "make test-faults   - fault-injection + reliable-transport suite only"
 	@echo "make test-traffic  - traffic models + statistical validation suite only"
@@ -42,7 +43,7 @@ help:
 
 # Mirrors .github/workflows/ci.yml step for step (lint job, test job,
 # golden-gate job) so local runs and CI cannot diverge.
-ci: lint test verify
+ci: lint test test-perfbench verify
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -63,6 +64,11 @@ test:
 
 test-all:
 	$(PYTEST) -x -q
+
+# The benchmark's self-tests: workload digests and the traced run's
+# cross-check of its layer counts against repro.obs.
+test-perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 test-exec:
 	$(PYTEST) -x -q tests/test_exec_pool.py tests/test_exec_cache.py

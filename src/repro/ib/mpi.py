@@ -6,7 +6,10 @@ Each rank holds an :class:`MPIEndpoint` with blocking ``send``/``recv``
 collectives.  The eager/rendezvous protocol switch, receive-side copies,
 unexpected-message queueing, and per-message software overheads follow
 how a real MPI-over-IB stack behaves — these are precisely the costs the
-paper's irregular workloads suffer from.
+paper's irregular workloads suffer from.  Their *host* cost stays O(1)
+per message: matching is indexed by ``(src, tag)``, and the alltoall(v)
+the irregular kernels live on runs without a Process per message
+(:mod:`repro.ib.collectives`).
 
 Payloads are real Python objects (usually NumPy arrays): the simulation
 moves actual data, so benchmark results can be validated numerically.
@@ -15,7 +18,6 @@ moves actual data, so benchmark results can be validated numerically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -50,15 +52,29 @@ def payload_nbytes(data: Any) -> int:
     return 64  # generic pickled-object floor
 
 
-@dataclass
 class _Arrival:
-    src: int
-    tag: int
-    kind: str            # "eager" or "rts"
-    payload: Any
-    nbytes: int
-    rts_id: int = -1
-    seq: int = -1        # per-(src, dst) send sequence number
+    """One in-order eager or RTS envelope, handed to a receive or held
+    in the unexpected queue (``stamp`` orders the queue)."""
+
+    __slots__ = ("src", "tag", "kind", "payload", "nbytes", "rts_id",
+                 "stamp")
+
+    def __init__(self, src: int, tag: int, kind: str, payload: Any,
+                 nbytes: int, rts_id: int) -> None:
+        self.src = src
+        self.tag = tag
+        self.kind = kind         # "eager" or "rts"
+        self.payload = payload
+        self.nbytes = nbytes
+        self.rts_id = rts_id
+        self.stamp = -1
+
+
+def _wild_match(src: int, tag: int, a_src: int, a_tag: int) -> bool:
+    """Does a receive for ``(src, tag)``, wildcards allowed, accept a
+    message from ``a_src`` with ``a_tag``?"""
+    return ((src == ANY_SOURCE or src == a_src)
+            and (tag == ANY_TAG or tag == a_tag))
 
 
 class MPIEndpoint:
@@ -74,8 +90,17 @@ class MPIEndpoint:
         #: concurrent isends cannot both burn the core at once
         self._cpu = Resource(runtime.engine, capacity=1,
                              name=f"mpi{rank}:cpu")
-        self._unexpected: List[_Arrival] = []
-        self._recv_waiters: List[Tuple[int, int, Event]] = []
+        # Matching is indexed by (src, tag).  Posted receives without a
+        # wildcard wait in per-key lists, wildcard ones in one list;
+        # unexpected arrivals wait in per-key lists.  Every post and
+        # every queued arrival takes the next stamp, so the earliest
+        # candidate across lists is the one with the smallest stamp —
+        # exactly what a linear scan in post / arrival order would pick.
+        self._stamp = 0
+        self._posted: Dict[Tuple[int, int],
+                           List[Tuple[int, Callable]]] = {}
+        self._posted_wild: List[Tuple[int, int, int, Callable]] = []
+        self._unexpected: Dict[Tuple[int, int], List[_Arrival]] = {}
         self._cts_waiters: Dict[int, Event] = {}
         self._data_waiters: Dict[int, Event] = {}
         # MPI non-overtaking: every eager/RTS envelope carries a
@@ -92,6 +117,11 @@ class MPIEndpoint:
         # shared series across endpoints; label picks apart the protocol
         self._obs_on = obsreg.enabled()
         if self._obs_on:
+            # ib.mpi.sends / ib.mpi.recvs count point-to-point API calls
+            # (send/isend, recv/irecv, and the collectives built on
+            # them).  The chained alltoall(v) issues its messages
+            # without those calls; its wire messages show up in the
+            # fabric's transfer stats (ib.fabric.messages).
             self._m_sends = {p: obsreg.counter("ib.mpi.sends", protocol=p)
                              for p in ("self", "eager", "rendezvous")}
             self._m_recvs = obsreg.counter("ib.mpi.recvs")
@@ -126,8 +156,7 @@ class MPIEndpoint:
             self._data_waiters.pop(rts_id).succeed(data)
             return
         tag, rts_id, data, seq = envelope
-        arrival = _Arrival(src=src, tag=tag, kind=kind, payload=data,
-                           nbytes=nbytes, rts_id=rts_id, seq=seq)
+        arrival = _Arrival(src, tag, kind, data, nbytes, rts_id)
         expected = self._recv_next_seq.get(src, 0)
         if seq != expected:
             # delivered out of send order: hold until the gap closes
@@ -145,24 +174,75 @@ class MPIEndpoint:
         self._recv_next_seq[src] = expected
 
     def _deliver(self, arrival: _Arrival) -> None:
-        """Hand one in-order arrival to matching (posted receives in
-        post order, else the unexpected queue in arrival order)."""
-        for i, (wsrc, wtag, ev) in enumerate(self._recv_waiters):
-            if self._matches(arrival, wsrc, wtag):
-                del self._recv_waiters[i]
-                ev.succeed(arrival)
-                return
-        self._unexpected.append(arrival)
+        """Hand one in-order arrival to the earliest-posted matching
+        receive, else queue it as unexpected.
+
+        The candidates are the head of the arrival's ``(src, tag)``
+        list and the first matching wildcard posted before that head.
+        """
+        key = (arrival.src, arrival.tag)
+        posted = self._posted.get(key)
+        wild = self._posted_wild
+        if wild:
+            limit = posted[0][0] if posted else self._stamp
+            for i, (stamp, src, tag, fn) in enumerate(wild):
+                if stamp > limit:
+                    break
+                if _wild_match(src, tag, arrival.src, arrival.tag):
+                    del wild[i]
+                    fn(arrival)
+                    return
+        if posted:
+            fn = posted.pop(0)[1]
+            if not posted:
+                del self._posted[key]
+            fn(arrival)
+            return
+        self._stamp += 1
+        arrival.stamp = self._stamp
+        queue = self._unexpected.get(key)
+        if queue is None:
+            self._unexpected[key] = [arrival]
+        else:
+            queue.append(arrival)
+
+    def _take(self, src: int, tag: int) -> Optional[_Arrival]:
+        """Remove and return the earliest unexpected arrival a receive
+        for ``(src, tag)`` accepts, or ``None``."""
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            key = (src, tag)
+        else:
+            key, first = None, None
+            for k, queue in self._unexpected.items():
+                if (_wild_match(src, tag, k[0], k[1])
+                        and (first is None or queue[0].stamp < first)):
+                    key, first = k, queue[0].stamp
+        queue = self._unexpected.get(key)
+        if not queue:
+            return None
+        arrival = queue.pop(0)
+        if not queue:
+            del self._unexpected[key]
+        return arrival
+
+    def _post(self, src: int, tag: int, fn: Callable) -> None:
+        """Post a receive for ``(src, tag)``: the first matching
+        arrival is passed to ``fn``, synchronously, on delivery."""
+        self._stamp += 1
+        if src == ANY_SOURCE or tag == ANY_TAG:
+            self._posted_wild.append((self._stamp, src, tag, fn))
+            return
+        key = (src, tag)
+        posted = self._posted.get(key)
+        if posted is None:
+            self._posted[key] = [(self._stamp, fn)]
+        else:
+            posted.append((self._stamp, fn))
 
     def _next_send_seq(self, dest: int) -> int:
         seq = self._send_seq.get(dest, 0)
         self._send_seq[dest] = seq + 1
         return seq
-
-    @staticmethod
-    def _matches(a: _Arrival, src: int, tag: int) -> bool:
-        return ((src == ANY_SOURCE or a.src == src)
-                and (tag == ANY_TAG or a.tag == tag))
 
     def _overhead(self):
         """Serialised per-message software cost (o in LogGP terms)."""
@@ -171,6 +251,48 @@ class MPIEndpoint:
             yield self.engine.timeout(self.config.sw_overhead_s)
         finally:
             self._cpu.release()
+
+    # -- protocol steps shared by p2p and the chained alltoall --------------
+    def _eager(self, dest: int, payload: Any, tag: int,
+               n: int) -> CompletionEvent:
+        """Put one eager message on the wire."""
+        done = self.fabric.transfer(
+            self.rank, dest, n + _CONTROL_BYTES, kind="eager",
+            payload=(tag, -1, payload, self._next_send_seq(dest)))
+        done.tag = tag      # fabric knows bytes; MPI supplies tags
+        return done
+
+    def _rts(self, dest: int, tag: int) -> Tuple[int, Event]:
+        """Open a rendezvous: send the RTS envelope; returns its id and
+        the event the receiver's CTS will fire."""
+        rts_id = self.runtime.next_rts_id()
+        cts = self.engine.event(name=f"cts:{rts_id}")
+        self._cts_waiters[rts_id] = cts
+        self.fabric.transfer(
+            self.rank, dest, _CONTROL_BYTES, kind="rts",
+            payload=(tag, rts_id, None, self._next_send_seq(dest)))
+        return rts_id, cts
+
+    def _rendezvous_data(self, rts_id: int, cts: Event, dest: int,
+                         payload: Any, n: int, tag: int) -> Generator:
+        """Sender side of a rendezvous after the RTS: wait for the CTS,
+        pay the handshake, move the data; the value is its completion."""
+        yield cts
+        yield self.engine.timeout(self.config.rendezvous_handshake_s)
+        done = self.fabric.transfer(self.rank, dest, n, kind="rdata",
+                                    payload=(rts_id, payload))
+        done.tag = tag
+        yield done
+        return done
+
+    def _grant(self, arrival: _Arrival) -> Event:
+        """Receiver side of a rendezvous: send the CTS for a matched
+        RTS; the returned event fires with the data."""
+        data_ev = self.engine.event(name=f"rdata:{arrival.rts_id}")
+        self._data_waiters[arrival.rts_id] = data_ev
+        self.fabric.transfer(self.rank, arrival.src, _CONTROL_BYTES,
+                             kind="cts", payload=arrival.rts_id)
+        return data_ev
 
     # -- point to point -----------------------------------------------------
     def send(self, dest: int, payload: Any, *, tag: int = 0,
@@ -208,27 +330,12 @@ class MPIEndpoint:
         if n <= self.config.eager_threshold_bytes:
             if self._obs_on:
                 self._m_sends["eager"].inc()
-            done = self.fabric.transfer(
-                self.rank, dest, n + _CONTROL_BYTES, kind="eager",
-                payload=(tag, -1, payload, self._next_send_seq(dest)))
-            done.tag = tag      # fabric knows bytes; MPI supplies tags
-            return done
-        # rendezvous
+            return self._eager(dest, payload, tag, n)
         if self._obs_on:
             self._m_sends["rendezvous"].inc()
-        rts_id = self.runtime.next_rts_id()
-        cts = self.engine.event(name=f"cts:{rts_id}")
-        self._cts_waiters[rts_id] = cts
-        self.fabric.transfer(
-            self.rank, dest, _CONTROL_BYTES, kind="rts",
-            payload=(tag, rts_id, None, self._next_send_seq(dest)))
-        yield cts
-        yield self.engine.timeout(self.config.rendezvous_handshake_s)
-        done = self.fabric.transfer(self.rank, dest, n, kind="rdata",
-                                    payload=(rts_id, payload))
-        done.tag = tag
-        yield done
-        return done
+        rts_id, cts = self._rts(dest, tag)
+        return (yield from self._rendezvous_data(rts_id, cts, dest,
+                                                 payload, n, tag))
 
     def recv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG
              ) -> Generator:
@@ -245,25 +352,22 @@ class MPIEndpoint:
                     arrival.nbytes / self.config.memcpy_bw)
             return arrival.payload, arrival.src, arrival.tag
         # rendezvous: grant the sender and wait for the bulk data
-        data_ev = self.engine.event(name=f"rdata:{arrival.rts_id}")
-        self._data_waiters[arrival.rts_id] = data_ev
-        self.fabric.transfer(self.rank, arrival.src, _CONTROL_BYTES,
-                             kind="cts", payload=arrival.rts_id)
-        data = yield data_ev
+        data = yield self._grant(arrival)
         return data, arrival.src, arrival.tag
 
     def _match_or_wait(self, src: int, tag: int):
-        for i, a in enumerate(self._unexpected):
-            if self._matches(a, src, tag):
-                del self._unexpected[i]
-                return a
+        arrival = self._take(src, tag)
+        if arrival is not None:
+            return arrival
         ev = self.engine.event(name=f"recv@{self.rank}")
-        self._recv_waiters.append((src, tag, ev))
+        self._post(src, tag, ev.succeed)
         return ev
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check for a matching pending message."""
-        return any(self._matches(a, src, tag) for a in self._unexpected)
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            return (src, tag) in self._unexpected
+        return any(_wild_match(src, tag, s, t) for s, t in self._unexpected)
 
     def isend(self, dest: int, payload: Any, *, tag: int = 0,
               nbytes: Optional[int] = None):
