@@ -180,29 +180,41 @@ def test_degradation_sweep_serial_parallel_identical(tmp_path):
     })
 
 
-def test_flow_engine_ab_speedup_at_256_nodes():
+def test_flow_engine_ab_speedup_at_256_nodes(monkeypatch):
     """The nightly A/B guard for the pooled flow engines: one 256-node
-    GUPS run per implementation, identical simulated results, and the
-    fast engine at least 3x quicker wall-clock.  A regression here
-    means someone de-vectorised a hot path (or taught the reference
-    model a trick the fast one didn't learn)."""
+    GUPS run per implementation, identical simulated results, the fast
+    engine at least 3x quicker wall-clock, and no more engine events
+    than the reference.  A regression here means someone de-vectorised
+    a hot path (or taught the reference model a trick the fast one
+    didn't learn)."""
+    import repro.core.cluster as cluster
     from repro.core.cluster import ClusterSpec
     from repro.kernels import run_gups
+    from repro.sim.engine import Engine
 
     kw = dict(table_words=1 << 12, n_updates=1 << 11, window=256)
+    engines = []
+
+    class Counted(Engine):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            engines.append(self)
+
+    monkeypatch.setattr(cluster, "Engine", Counted)
 
     def one(flow_impl, reps=2):
         best, result = float("inf"), None
         for _ in range(reps):               # best-of-N against noise
             spec = ClusterSpec(n_nodes=256, seed=2017,
                                flow_impl=flow_impl)
+            engines.clear()
             t0 = time.perf_counter()
             result = run_gups(spec, "dv", **kw)
             best = min(best, time.perf_counter() - t0)
-        return result, best
+        return result, best, sum(e.events_processed for e in engines)
 
-    ref, ref_s = one("reference")
-    fast, fast_s = one("fast")
+    ref, ref_s, ref_events = one("reference")
+    fast, fast_s, fast_events = one("fast")
     drop = lambda r: {k: v for k, v in r.items() if k != "tracer"}
     assert drop(fast) == drop(ref)           # bit-identical simulation
     ratio = ref_s / max(fast_s, 1e-9)
@@ -212,7 +224,12 @@ def test_flow_engine_ab_speedup_at_256_nodes():
         "reference_seconds": round(ref_s, 2),
         "fast_seconds": round(fast_s, 2),
         "speedup": round(ratio, 2),
+        "reference_events": ref_events,
+        "fast_events": fast_events,
     })
+    assert fast_events <= ref_events, (
+        f"fast flow engine processed {fast_events} engine events, more "
+        f"than the reference's {ref_events}")
     assert ratio >= 3.0, (
         f"fast flow engine only {ratio:.2f}x faster than reference "
         f"({fast_s:.1f}s vs {ref_s:.1f}s) — regression below the 3x "

@@ -72,9 +72,20 @@ class DVMemory:
         values = np.asarray(values, dtype=np.uint64)
         if addrs.shape != values.shape:
             raise ValueError("addrs and values must have identical shapes")
-        if addrs.ndim == 0:
-            addrs = addrs.reshape(1)
-            values = values.reshape(1)
+        if addrs.size == 1:
+            # one-word writes (count exchanges, query replies) are the
+            # common delivery: plain ints, no reductions or fancy index
+            a = int(addrs.item())
+            if not 0 <= a < self.n_words:
+                raise IndexError(
+                    f"DV memory address out of range: [{a}, {a}] "
+                    f"vs capacity {self.n_words} words")
+            cidx, off = divmod(a, _CHUNK_WORDS)
+            chunk = self._chunks.get(cidx)
+            if chunk is None:
+                chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS, np.uint64)
+            chunk[off] = values.item()
+            return
         if addrs.size == 0:
             return
         lo, hi = int(addrs.min()), int(addrs.max())

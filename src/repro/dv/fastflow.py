@@ -13,7 +13,18 @@ per transfer, and a pure-Python ``min_hops`` walk per call) with:
 * a precomputed **hop table** replacing ``topology.min_hops``;
 * a vectorised :meth:`transmit_batch` that prices a whole
   one-source/many-destination fan-out (a GUPS epoch, a counter
-  exchange) in a handful of numpy operations.
+  exchange) in a handful of numpy operations;
+* **one countdown join per scatter**: :meth:`scatter` (the source
+  aggregation of ``DataVortexAPI.send_batch``) files one shared
+  :class:`_Countdown` as every group's completion instead of a
+  :class:`~repro.sim.events.CompletionEvent` per group.
+
+Heap entries per transfer: the reference spends three (arrival marker,
+ejection marker, ``done``), and a scatter's ``AllOf`` adds one per
+batch.  The fast engine spends the same three for :meth:`transmit` and
+``transmit_batch(collect=True)``, two for ``collect=False``, and two
+per scatter group plus two per batch (the last delivery's wakeup and
+the join itself).
 
 Bit-identity argument (validated by ``tests/test_flow_equivalence.py``
 and the golden suite): the reference engine's determinism comes from the
@@ -25,7 +36,16 @@ timestamp and the same *relative* sequence position; all float
 arithmetic is performed with the same operations in the same order
 (``np.add.accumulate`` is sequential, matching the scalar
 injection-serialisation recurrence), and fault RNG draws happen at
-identical instants in identical order.
+identical instants in identical order.  The entries the fast engine
+drops — the ``done`` of a fire-and-forget group, and the ``done`` of
+every scatter group but the last — have no callbacks in the reference
+run except the ``AllOf`` count, so dropping them leaves the relative
+order of every remaining entry unchanged.  The last group's delivery
+enqueues the join's wakeup where the reference enqueues that group's
+``done``; processing it succeeds the join, just as processing the
+``done`` makes the ``AllOf`` succeed, so the join fires at the
+reference ``AllOf``'s position with the same value (the payloads in
+group order).
 """
 
 from __future__ import annotations
@@ -74,6 +94,30 @@ def hop_table(topo: DataVortexTopology, n_ports: int) -> np.ndarray:
     return hops.astype(np.int32)
 
 
+class _Countdown:
+    """The per-group ``done`` stand-in of one :meth:`FastFlowNetwork.scatter`.
+
+    Every group of the batch files this one object as its completion;
+    ``_deliver`` calls :meth:`succeed` where a per-group ``done`` would
+    be triggered.  Only the last call schedules anything: a wakeup at
+    the position the last ``done`` would take in the heap, which
+    succeeds ``join`` with the payloads in group order — where the
+    reference's ``AllOf`` over the per-group events succeeds.
+    """
+
+    __slots__ = ("join", "left", "payloads")
+
+    def __init__(self, join: Event, left: int, payloads: List[Any]) -> None:
+        self.join = join
+        self.left = left
+        self.payloads = payloads
+
+    def succeed(self, _payload: Any) -> None:
+        self.left -= 1
+        if not self.left:
+            self.join.engine.call_in(0.0, self.join.succeed, self.payloads)
+
+
 class FastFlowNetwork(FlowNetwork):
     """Drop-in :class:`FlowNetwork` with pooled, vectorised internals.
 
@@ -89,7 +133,8 @@ class FastFlowNetwork(FlowNetwork):
         self._hop = self.config.hop_time_s
         self._hops = hop_table(self.topo, n_ports)
         self._payloads: List[Any] = []
-        self._dones: List[Optional[Event]] = []
+        #: per slot: its ``done`` event, its scatter's countdown, or None
+        self._dones: List[Any] = []
         self._free_slots: List[int] = []
         self._grow(256)
 
@@ -172,11 +217,49 @@ class FastFlowNetwork(FlowNetwork):
                        counts: Sequence[int], payloads: Sequence[Any],
                        inject_rate: Optional[float] = None,
                        collect: bool = True) -> List[Event]:
+        ids, d, c = self._launch(src, dests, counts, payloads, inject_rate)
+        if not collect or not ids:
+            # Fire-and-forget: the slots keep no completion, so no
+            # ``done`` is ever enqueued (see the module docstring).
+            return []
+        engine = self.engine
+        done_list = self._dones
+        dones: List[Event] = []
+        for idx, dest, n in zip(ids, d.tolist(), c.tolist()):
+            done = CompletionEvent(engine, fabric="dv", op="transmit",
+                                   src=src, dest=dest, words=n)
+            done_list[idx] = done
+            dones.append(done)
+        return dones
+
+    def _scatter(self, src: int, dests: Sequence[int],
+                 counts: Sequence[int], payloads: Sequence[Any],
+                 inject_rate: Optional[float]) -> Event:
+        ids, _, _ = self._launch(src, dests, counts, payloads, inject_rate)
+        if not ids:
+            return self.engine.all_of([])
+        join = Event(self.engine)
+        countdown = _Countdown(join, len(ids), list(payloads))
+        done_list = self._dones
+        for idx in ids:
+            done_list[idx] = countdown
+        return join
+
+    def _launch(self, src: int, dests: Sequence[int],
+                counts: Sequence[int], payloads: Sequence[Any],
+                inject_rate: Optional[float]):
+        """Price one batch and schedule its arrivals.
+
+        Returns ``(slots, dests, counts)``: the pool slot of each group,
+        in group order, and the validated arrays.  The slots carry no
+        completion; the caller files one in ``_dones`` or leaves them
+        empty.
+        """
         if not (len(dests) == len(counts) == len(payloads)):
             raise ValueError("dests, counts, payloads must align")
         m = len(dests)
         if m == 0:
-            return []
+            return [], None, None
         if not 0 <= src < self.n_ports:
             raise ValueError(f"bad src port {src}")
         d = np.asarray(dests, dtype=np.int64)
@@ -235,39 +318,18 @@ class FastFlowNetwork(FlowNetwork):
         self._f_tof[idv] = tof
 
         payload_list = self._payloads
-        done_list = self._dones
-        dones: List[Event] = []
         reserve = self._reserve
         # inlined Engine.call_in (same arithmetic: _now + delay)
         queue = engine._queue
         eng_now = engine._now
         delays = (first_arrival - now).tolist()
-        if collect:
-            dl = d.tolist()
-            cl = c.tolist()
-            for k in range(m):
-                done = CompletionEvent(engine, fabric="dv", op="transmit",
-                                       src=src, dest=dl[k], words=cl[k])
-                idx = ids[k]
-                payload_list[idx] = payloads[k]
-                done_list[idx] = done
-                engine._seq += 1
-                heappush(queue, (eng_now + delays[k], engine._seq,
-                                 _Wakeup(reserve, (idx,))))
-                dones.append(done)
-        else:
-            # Fire-and-forget: no completion events.  Skipping the
-            # ``done`` enqueue removes heap entries that have no
-            # callbacks in the reference run, so the relative order of
-            # every remaining event — and hence every simulated
-            # timestamp — is unchanged.
-            for k in range(m):
-                idx = ids[k]
-                payload_list[idx] = payloads[k]
-                engine._seq += 1
-                heappush(queue, (eng_now + delays[k], engine._seq,
-                                 _Wakeup(reserve, (idx,))))
-        return dones
+        for k in range(m):
+            idx = ids[k]
+            payload_list[idx] = payloads[k]
+            engine._seq += 1
+            heappush(queue, (eng_now + delays[k], engine._seq,
+                             _Wakeup(reserve, (idx,))))
+        return ids, d, c
 
     # -- arrival / ejection ---------------------------------------------
     def _reserve(self, idx: int) -> None:
@@ -344,6 +406,11 @@ class ShardedFlowNetwork(FastFlowNetwork):
     parity) but never fire; the runner detects programs that wait on
     them as a sharded-only deadlock and falls back to serial.
     """
+
+    # Per-group completion events, joined by an ``AllOf``: a scatter
+    # with a cross-shard group then never completes, which the runner
+    # needs in order to detect the wait and fall back to serial.
+    _scatter = FlowNetwork._scatter
 
     def __init__(self, engine: Engine, config: DVConfig, n_ports: int,
                  shard_of: "np.ndarray", shard_id: int) -> None:

@@ -312,8 +312,20 @@ class FlowNetwork:
         VIC then streams them into the switch back to back.  Injection is
         serialised across the whole batch; ejection is serialised per
         destination.  Returns an event firing when every group has been
-        delivered.
+        delivered, with the groups' payloads in group order as its value
+        — exactly an ``all_of`` over :meth:`transmit_batch`'s per-group
+        events, which is how this reference engine builds it.
         """
+        return self._scatter(src, dests, counts, payloads, inject_rate)
+
+    def _scatter(self, src: int, dests: Sequence[int],
+                 counts: Sequence[int], payloads: Sequence[Any],
+                 inject_rate: Optional[float]) -> Event:
+        # The engine-specific half of scatter: the fast engine replaces
+        # the per-group events with one countdown join.  Engines
+        # override this hook, not ``scatter``, so every scatter enters
+        # through one public ``FlowNetwork.scatter`` (perfbench's tracer
+        # counts packets by the qualified name of that outermost call).
         events = self.transmit_batch(src, dests, counts, payloads,
                                      inject_rate=inject_rate)
         return self.engine.all_of(events)

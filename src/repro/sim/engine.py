@@ -93,7 +93,10 @@ class Engine:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events processed so far (diagnostics)."""
+        """Total number of events processed so far (diagnostics).
+
+        Exact between runs; while a plain ``run()`` drains the heap the
+        count is only stored back when it returns or raises."""
         return self._processed_count
 
     # -- event factories -----------------------------------------------------
@@ -120,7 +123,8 @@ class Engine:
     # -- scheduling ----------------------------------------------------------
     def _enqueue(self, event: Event, delay: float) -> None:
         """Insert a triggered event into the heap ``delay`` seconds ahead."""
-        if delay < 0:
+        # ``not >=`` also rejects NaN, which would otherwise sort first
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
@@ -136,7 +140,7 @@ class Engine:
         same position among same-time events — the property the
         fast/reference bit-identity guarantee rests on.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         heapq.heappush(self._queue,
@@ -172,11 +176,21 @@ class Engine:
         ----------
         until:
             Stop once the next event would occur strictly after this time;
-            the clock is advanced to ``until``.
+            the clock is advanced to ``until``.  An ``until`` before the
+            current time raises :class:`SimulationError` (the clock never
+            runs backwards).
         max_events:
             Safety valve for runaway simulations; raises
             :class:`SimulationError` when exhausted.
         """
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"run(until={until!r}) is before the current time "
+                f"{self._now!r}")
+        if (until is None and max_events is None and not self._obs_on
+                and type(self).step is Engine.step):
+            self._drain()
+            return
         n = 0
         while self._queue:
             if until is not None and self.peek() > until:
@@ -190,6 +204,26 @@ class Engine:
             n += 1
         if until is not None and until > self._now:
             self._now = until
+
+    def _drain(self) -> None:
+        """:meth:`step` until the queue is empty, as one tight loop.
+
+        The common ``run()`` case: no horizon, no event budget, no
+        metrics.  The processed count is kept in a local and stored back
+        on the way out, so it is exact after a normal return and after a
+        callback raises.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        n = self._processed_count
+        try:
+            while queue:
+                t, _seq, event = pop(queue)
+                self._now = t
+                n += 1
+                event._process()
+        finally:
+            self._processed_count = n
 
     def run_process(self, generator: Generator, name: str = "",
                     until: Optional[float] = None) -> Any:

@@ -170,8 +170,8 @@ class Timeout(Event):
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None,
                  name: str = "") -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(engine, name=name or f"timeout({delay:g})")
         self.delay = delay
         self._ok = True

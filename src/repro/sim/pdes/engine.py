@@ -76,7 +76,7 @@ class ShardEngine(Engine):
 
     # -- scheduling (6-field merge keys) -----------------------------------
     def _enqueue(self, event, delay: float) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         self._push += 1
@@ -85,7 +85,7 @@ class ShardEngine(Engine):
                         self._seq, self._push, event))
 
     def call_in(self, delay: float, fn, *args) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         self._push += 1

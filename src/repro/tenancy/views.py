@@ -250,10 +250,9 @@ class TenantNetworkView:
         return self._net.transmit(gsrc, gdest, n_packets, payload,
                                   inject_rate)
 
-    def transmit_batch(self, src: int, dests: Sequence[int],
-                       counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       collect: bool = True) -> List[Event]:
+    def _xlate_batch(self, src: int, dests: Sequence[int],
+                     counts: Sequence[int], payloads: Sequence[Any]):
+        """Isolation checks and translation shared by the batch sends."""
         gsrc = self._xlate(src, "source")
         d = np.asarray(dests, dtype=np.int64)
         if d.size and (d.min() < 0 or d.max() >= self._n):
@@ -265,16 +264,25 @@ class TenantNetworkView:
         if self._obs_on:
             self._m_transfers.inc(len(payloads))
             self._m_packets.inc(int(np.asarray(counts).sum()))
-        return self._net.transmit_batch(gsrc, d + self._base, counts,
-                                        payloads, inject_rate=inject_rate,
+        return gsrc, d + self._base, payloads
+
+    def transmit_batch(self, src: int, dests: Sequence[int],
+                       counts: Sequence[int], payloads: Sequence[Any],
+                       inject_rate: Optional[float] = None,
+                       collect: bool = True) -> List[Event]:
+        gsrc, gdests, payloads = self._xlate_batch(src, dests, counts,
+                                                   payloads)
+        return self._net.transmit_batch(gsrc, gdests, counts, payloads,
+                                        inject_rate=inject_rate,
                                         collect=collect)
 
     def scatter(self, src: int, dests: Sequence[int],
                 counts: Sequence[int], payloads: Sequence[Any],
                 inject_rate: Optional[float] = None) -> Event:
-        events = self.transmit_batch(src, dests, counts, payloads,
-                                     inject_rate=inject_rate)
-        return self._net.engine.all_of(events)
+        gsrc, gdests, payloads = self._xlate_batch(src, dests, counts,
+                                                   payloads)
+        return self._net.scatter(gsrc, gdests, counts, payloads,
+                                 inject_rate=inject_rate)
 
     def time_of_flight(self, src: int, dest: int, now: float) -> float:
         return self._net.time_of_flight(src + self._base,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dv.counters import GroupCounters
-from repro.dv.dvmemory import DVMemory
+from repro.dv.dvmemory import _CHUNK_WORDS, DVMemory
 from repro.dv.fifo import FifoOverflow, SurpriseFIFO
 from repro.sim import Engine
 
@@ -93,6 +93,46 @@ def test_property_memory_matches_dict_model(ops):
         model[addr] = val
     for addr, val in model.items():
         assert m.read_word(addr) == val
+
+
+_C = _CHUNK_WORDS
+#: the chunk edges on both sides, plus the first and last word
+_EDGE_ADDRS = (0, 1, _C - 1, _C, _C + 1, 2 * _C - 1, 2 * _C, 3 * _C - 1)
+
+
+@given(st.lists(
+    st.lists(st.tuples(st.sampled_from(_EDGE_ADDRS),
+                       st.integers(0, 2**64 - 1)), min_size=0, max_size=3),
+    min_size=1, max_size=12),
+    st.sampled_from(["array", "list", "scalar"]))
+@settings(max_examples=80, deadline=None)
+def test_property_scatter_matches_dense_oracle(batches, form):
+    """Scatters of 0–3 words (duplicates, chunk-boundary addresses, and
+    the one-word fast path) leave memory equal to a dense array written
+    one word at a time in batch order (last writer wins)."""
+    m = DVMemory(3 * _C)
+    dense = np.zeros(3 * _C, np.uint64)
+    for batch in batches:
+        addrs = np.array([a for a, _ in batch], np.int64)
+        vals = np.array([v for _, v in batch], np.uint64)
+        if form == "list":
+            m.scatter(addrs.tolist(), vals.tolist())
+        elif form == "scalar" and len(batch) == 1:
+            m.scatter(addrs[0], vals[0])        # 0-d inputs
+        else:
+            m.scatter(addrs, vals)
+        for a, v in batch:
+            dense[a] = v
+    assert np.array_equal(m.gather(np.arange(3 * _C)), dense)
+
+
+@pytest.mark.parametrize("addr", [-1, -_C, 100, 101, 10**12])
+@pytest.mark.parametrize("wrap", [np.array, lambda a: np.array([a])])
+def test_single_word_scatter_out_of_range_raises(addr, wrap):
+    m = DVMemory(100)
+    with pytest.raises(IndexError, match="out of range"):
+        m.scatter(wrap(addr), wrap(np.uint64(7)))
+    assert m.touched_bytes == 0
 
 
 # -------------------------------------------------------------- counters ---

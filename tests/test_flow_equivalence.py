@@ -16,17 +16,20 @@ import pytest
 
 from repro import faults
 from repro.core.cluster import ClusterSpec
+from repro.dv.api import DataVortexAPI
 from repro.dv.config import DVConfig
 from repro.dv.fastflow import FastFlowNetwork, hop_table
 from repro.dv.flow import FlowNetwork
 from repro.dv.topology import DataVortexTopology
-from repro.dv.vic import FifoPush, MemWrite
+from repro.dv.vic import VIC, FifoPush, MemWrite
 from repro.faults.plan import FaultPlan
 from repro.ib.config import IBConfig
 from repro.ib.fabric import IBFabric
 from repro.ib.fastfabric import FastIBFabric
 from repro.kernels.gups import run_gups
 from repro.sim.engine import Engine
+from repro.tenancy.spec import TenantPartition
+from repro.tenancy.views import TenantNetworkView, TenantVICView
 
 
 # --------------------------------------------------------- hop table ---
@@ -138,6 +141,175 @@ def test_flow_fast_equals_reference_heavy_load(load):
     ref = _drive_flow(FlowNetwork, n_ports, seed, n_rounds=rounds)
     fast = _drive_flow(FastFlowNetwork, n_ports, seed, n_rounds=rounds)
     assert ref == fast
+
+
+# ------------------------------------------------- scatter joins ---
+
+def _expected_join(dests, addrs, vals):
+    """What ``send_batch``'s event must succeed with: one MemWrite per
+    distinct destination, in destination order, entries in send order."""
+    return [("mem", [a for dd, a in zip(dests, addrs) if dd == d],
+             [v for dd, v in zip(dests, vals) if dd == d], None)
+            for d in sorted(set(dests))]
+
+
+def _drive_joins(net_cls, n_ports, seed, tenant=False, n_ops=30):
+    """Ranks that wait on ``send_batch``'s join while other ranks'
+    same-instant traffic (more batches, single sends, raw fan-outs)
+    runs; returns the ordered log of join values and finish times, the
+    final DV memories, the flow stats and the clock."""
+    engine = Engine()
+    cfg = DVConfig()
+    net = net_cls(engine, cfg, n_ports)
+    vics = [VIC(engine, cfg, i, net) for i in range(n_ports)]
+    if tenant:
+        part = TenantPartition(
+            "t", base=1, n_ranks=n_ports - 2, ctr_lo=0,
+            ctr_hi=cfg.group_counters, mem_lo=0, mem_hi=64,
+            ib_credits=None)
+        view = TenantNetworkView(net, part)
+        apis = [DataVortexAPI(engine, cfg,
+                              TenantVICView(vics[part.base + i], part, i),
+                              view)
+                for i in range(part.n_ranks)]
+    else:
+        apis = [DataVortexAPI(engine, cfg, v, net) for v in vics]
+    P = len(apis)
+    hop = net.config.hop_time_s
+    log = []
+
+    def rank(r):
+        rng = random.Random(seed * 1000 + r)
+        api = apis[r]
+        for _ in range(n_ops):
+            # hop multiples force same-instant ties across ranks
+            yield engine.timeout(rng.randrange(0, 4) * hop)
+            op = rng.randrange(5)
+            if op <= 2:
+                m = rng.randrange(1, 7)
+                dests = [rng.randrange(P) for _ in range(m)]
+                addrs = [rng.randrange(64) for _ in range(m)]
+                vals = [rng.randrange(1 << 20) for _ in range(m)]
+                ev = yield from api.send_batch(dests, addrs, vals)
+                if op <= 1:
+                    value = yield ev
+                    got = [_effect_digest(p) for p in value]
+                    assert got == _expected_join(dests, addrs, vals)
+                    log.append((r, "join", engine.now, got))
+            elif op == 3:
+                ev = yield from api.send_words(rng.randrange(P),
+                                               [rng.randrange(64)],
+                                               [rng.randrange(99)])
+                log.append((r, "sent", engine.now))
+            else:
+                m = rng.randrange(1, P + 1)
+                dests = rng.sample(range(P), m)
+                api.network.transmit_batch(
+                    r, dests, [1] * m,
+                    [FifoPush(np.array([r], np.uint64))] * m,
+                    collect=False)
+        log.append((r, "end", engine.now))
+
+    for r in range(P):
+        engine.process(rank(r), name=f"rank{r}")
+    engine.run()
+    mem = [v.memory.gather(np.arange(64)).tolist() for v in vics]
+    return (log, mem, net.stats.packets_sent, net.stats.transfers,
+            float(net.stats.total_injection_wait_s),
+            float(net.stats.total_ejection_wait_s), float(engine.now))
+
+
+@pytest.mark.parametrize("tenant", [False, True], ids=["whole", "tenant"])
+@pytest.mark.parametrize("plan_name", ["none", "lossy", "outages"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scatter_join_fast_equals_reference(seed, plan_name, tenant):
+    """``send_batch``'s join fires at the same instant and in the same
+    order on both engines — waiters resume where the reference ``AllOf``
+    resumes them — and carries the payloads in destination order."""
+    plan = PLANS[plan_name]
+    with faults.session(plan):
+        ref = _drive_joins(FlowNetwork, 6, seed, tenant)
+    with faults.session(plan):
+        fast = _drive_joins(FastFlowNetwork, 6, seed, tenant)
+    assert ref == fast
+    assert sum(1 for e in ref[0] if e[1] == "join") > 10
+
+
+def _drive_join_ties(net_cls, n_ports, seed, n_ops=40):
+    """Raw-network joins under exact same-instant deliveries: with no
+    load penalty every time is a sum of hop multiples, so transfers
+    from different sources land at the same instant and the order in
+    which waiters resume is observable in the log."""
+    engine = Engine()
+    net = net_cls(engine, DVConfig(deflection_hops_per_load=0.0), n_ports)
+    for p in range(n_ports):
+        net.attach(p, lambda src, eff, n: None)
+    hop = net.config.hop_time_s
+    log = []
+
+    def rank(r):
+        rng = random.Random(seed * 1000 + r)
+        for i in range(n_ops):
+            yield engine.timeout(rng.randrange(0, 3) * hop)
+            op = rng.randrange(3)
+            if op == 0:
+                dests = sorted(rng.sample(range(n_ports),
+                                          rng.randrange(1, 4)))
+                value = yield net.scatter(r, dests, [1] * len(dests),
+                                          [(r, i, d) for d in dests])
+                log.append((r, "join", engine.now, value))
+            elif op == 1:
+                value = yield net.transmit(r, rng.randrange(n_ports), 1,
+                                           payload=(r, i))
+                log.append((r, "done", engine.now, value))
+            else:
+                dests = rng.sample(range(n_ports), rng.randrange(1, 3))
+                net.transmit_batch(r, dests, [1] * len(dests),
+                                   [None] * len(dests), collect=False)
+
+    for r in range(n_ports):
+        engine.process(rank(r), name=f"rank{r}")
+    engine.run()
+    return log, float(engine.now)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scatter_join_resumes_in_reference_order_under_ties(seed):
+    ref = _drive_join_ties(FlowNetwork, 8, seed)
+    fast = _drive_join_ties(FastFlowNetwork, 8, seed)
+    assert ref == fast
+    # the scenario really produces same-instant resumptions
+    times = [e[2] for e in ref[0]]
+    assert len(times) - len(set(times)) > 5
+
+
+def test_scatter_empty_batch_succeeds_at_once():
+    for net_cls in (FlowNetwork, FastFlowNetwork):
+        engine = Engine()
+        net = net_cls(engine, DVConfig(), 2)
+        ev = net.scatter(0, [], [], [])
+        engine.run()
+        assert ev.processed and ev.value == [] and engine.now == 0.0
+
+
+def test_gups_dv_32_nodes_event_budget(monkeypatch):
+    """The countdown join, the one-word memory write and the drain loop
+    keep a 32-node DV GUPS at <= 5,492 engine events (7,444 with a
+    completion event per transfer)."""
+    import repro.core.cluster as cluster
+    engines = []
+
+    class Counted(Engine):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            engines.append(self)
+
+    monkeypatch.setattr(cluster, "Engine", Counted)
+    r = run_gups(ClusterSpec(n_nodes=32, seed=1, flow_impl="fast"), "dv",
+                 table_words=4096, n_updates=128, window=256, validate=True)
+    assert r["valid"]
+    assert len(engines) == 1
+    assert engines[0].events_processed <= 5492
 
 
 # ---------------------------------------------------- IB equivalence ---

@@ -210,3 +210,100 @@ def test_simultaneous_events_fire_in_insertion_order():
                           key=lambda ti: (ti[0], ti[1]))
         eng.run()
         assert fired == expected, f"tie order broken at seed={seed}"
+
+
+# -------------------------------------------------- misuse and counting ---
+
+def test_run_until_before_now_raises_and_keeps_clock():
+    eng = Engine()
+    eng.timeout(15.0)
+    eng.run()
+    assert eng.now == 15.0
+    with pytest.raises(SimulationError, match="before the current time"):
+        eng.run(until=5.0)
+    assert eng.now == 15.0
+    eng.run(until=15.0)             # the current instant is still allowed
+    assert eng.now == 15.0
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda eng: eng.call_in(float("nan"), lambda: None),
+    lambda eng: eng._enqueue(eng.event(), float("nan")),
+    lambda eng: eng.timeout(float("nan")),
+    lambda eng: eng.call_in(-1e-9, lambda: None),
+])
+def test_nan_and_negative_delays_rejected(schedule):
+    eng = Engine()
+    eng.timeout(1.0)
+    with pytest.raises(ValueError):
+        schedule(eng)
+    assert len(eng._queue) == 1     # nothing was scheduled
+    eng.run()
+    assert eng.now == 1.0
+
+
+def test_events_processed_exact_when_a_callback_raises():
+    eng = Engine()
+    fired = []
+
+    def cb(i):
+        fired.append(i)
+        if i == 3:
+            raise RuntimeError("boom")
+
+    for i in range(1, 6):
+        eng.call_in(float(i), cb, i)
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run()
+    assert fired == [1, 2, 3]
+    assert eng.events_processed == 3
+    assert eng.now == 3.0
+    eng.run()
+    assert fired == [1, 2, 3, 4, 5]
+    assert eng.events_processed == 5
+
+
+def test_events_processed_same_on_every_run_path():
+    def build():
+        eng = Engine()
+        for i in range(7):
+            eng.timeout(float(i % 3)).add_callback(
+                lambda ev, eng=eng: eng.call_in(0.5, lambda: None))
+        return eng
+
+    plain = build()
+    plain.run()
+    capped = build()
+    capped.run(max_events=100)
+    horizon = build()
+    horizon.run(until=1e9)
+    assert plain.events_processed == capped.events_processed == 14
+    assert horizon.events_processed == 14
+    assert plain.now == capped.now == 2.5
+
+
+def test_engine_events_metric_counts_with_obs_on():
+    from repro.obs import registry as obsreg
+    with obsreg.session() as reg:
+        eng = Engine()
+        for i in range(4):
+            eng.timeout(float(i))
+        eng.call_in(2.0, lambda: None)
+        eng.run()
+        assert eng.events_processed == 5
+        assert reg.total("sim.engine.events") == 5
+
+
+def test_shard_engine_keeps_its_merge_key_order():
+    """``ShardEngine`` overrides ``step``, so ``run`` must keep stepping:
+    same-instant entries order by (sched_t, origin, seq), not by push."""
+    from repro.sim.pdes.engine import ShardEngine
+    eng = ShardEngine()
+    fired = []
+    eng.schedule_key(1.0, 0.5, 2, 1, fired.append, ("r2",))
+    eng.schedule_key(1.0, 0.5, 1, 9, fired.append, ("r1",))
+    eng.schedule_key(1.0, 0.2, 3, 4, fired.append, ("early",))
+    eng.schedule_key(0.5, 0.0, 0, 7, fired.append, ("first",))
+    eng.run()
+    assert fired == ["first", "early", "r1", "r2"]
+    assert eng.events_processed == 4
