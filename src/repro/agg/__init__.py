@@ -2,10 +2,10 @@
 
 Public surface: :class:`AggSpec` (hand it to
 ``ClusterSpec(aggregation=...)``), the scoped :func:`session` override
-(mirrors :func:`repro.faults.session` / :func:`repro.sim.pdes.session`),
-and :func:`resolve_spec`, which the traffic-aware kernels consult.  The
-frame/channel machinery lives in :mod:`repro.agg.runtime`; the
-``fig_agg`` watermark-by-skew sweep in :mod:`repro.agg.experiments`.
+(mirrors :func:`repro.faults.session`), and :func:`resolve_spec`, which
+the traffic-aware kernels consult.  The frame/channel machinery lives
+in :mod:`repro.agg.runtime`; the ``fig_agg`` watermark-by-skew sweep in
+:mod:`repro.agg.experiments`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from repro.agg.spec import ROUTINGS, AggSpec
 __all__ = ["AggSpec", "ROUTINGS", "session", "resolve_spec"]
 
 # Scoped aggregation override, consulted by run_gups/run_bfs when the
-# cluster spec leaves aggregation=None.  Mirrors pdes.session, and like
-# it is a single process-wide slot.
+# cluster spec leaves aggregation=None.  Like faults.session, it is a
+# single process-wide slot.
 _SESSION_SPEC: Optional[AggSpec] = None
 
 

@@ -27,8 +27,8 @@ with ~2*sqrt(P) peers instead of P-1).
 Determinism: buffers live in insertion-ordered dicts, every bulk flush
 is ordered by a permutation drawn from :func:`repro.sim.rng.rng_for`
 (seed, rank, epoch), and epoch settlement is globally synchronised —
-so flush ordering is bit-identical across repeat runs, pool workers,
-and PDES shards (the golden ``agg`` axis pins exactly that).
+so flush ordering is bit-identical across repeat runs and pool
+workers (the golden ``agg`` axis pins the repeats).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The stable programmatic facade over the repro stack (api 3.0).
+"""The stable programmatic facade over the repro stack (api 4.0).
 
 One spec, two verbs.  Everything a driver needs — regenerating paper
 figures, named parameter sweeps, 64-1024-node projections, skew /
@@ -13,9 +13,9 @@ handed to :func:`run` (in-process) or :func:`submit` (service):
 ['nodes', 'dv', 'dv_fast', 'mpi']
 
 The spec carries the whole request: registry id (or named sweep),
-runner params, cluster overrides, a fault plan, a PDES shard count, and
-co-scheduled tenants.  Each experiment declares which of the last three
-it takes, and under which runner keyword
+runner params, cluster overrides, a fault plan and co-scheduled
+tenants.  Each experiment declares which of the last two it takes, and
+under which runner keyword
 (:attr:`repro.core.experiments.Experiment.spec_fields`); :func:`run`
 and :func:`submit` thread exactly those and reject any other set field
 before anything is simulated.  A traffic model or aggregation spec
@@ -25,8 +25,8 @@ belongs to a cluster: build it with :func:`build_cluster`.
 and the builders complete the surface.
 
 The facade is versioned independently of the package
-(:data:`__api_version__`, semver; docs/api.md has the 2.x → 3.0
-migration table).  Only names in :data:`__all__` are covered by the
+(:data:`__api_version__`, semver; docs/api.md has the migration
+tables).  Only names in :data:`__all__` are covered by the
 contract.  Every public callable takes keyword-only arguments
 (enforced by ``tools/check_api_signatures.py`` in ``make lint``).
 Heavy imports happen inside the functions: ``import repro.api`` is
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-__api_version__ = "3.0.0"
+__api_version__ = "4.0.0"
 
 __all__ = [
     "__api_version__",
@@ -58,20 +58,21 @@ __all__ = [
     "collect",
 ]
 
-#: Spec schema version :func:`run` understands.  api 3.0 only dropped
-#: fields, so every 2.0 document it still parses means what it did.
+#: Spec schema version :func:`run` understands.  api 3.0 and 4.0 only
+#: dropped fields, so every 2.0 document they still parse means what it
+#: did.
 SPEC_VERSION = 2
 
 #: The ExperimentSpec fields an experiment may declare, with their unset
 #: values (:attr:`repro.core.experiments.Experiment.spec_fields`).
-_SPEC_FIELDS = {"faults": None, "shards": 1, "tenants": ()}
+_SPEC_FIELDS = {"faults": None, "tenants": ()}
 
 
 # ----------------------------------------------------------- datatypes ---
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment request, complete (api 3.0).
+    """One experiment request, complete (api 4.0).
 
     ``exp_id`` names a registry experiment
     (:data:`repro.core.experiments.REGISTRY`) or a named sweep
@@ -80,10 +81,10 @@ class ExperimentSpec:
     ``cluster`` is a convenience mapping merged into them (a key in
     both is an error, not a silent override).
 
-    ``faults`` (a :class:`~repro.faults.FaultPlan`), ``shards`` (a PDES
-    shard count) and ``tenants`` (workload names, or full
-    :class:`~repro.tenancy.TenantSpec` objects) reach only the
-    experiments that declare them; see :func:`run`.
+    ``faults`` (a :class:`~repro.faults.FaultPlan`) and ``tenants`` (a
+    tuple of workload names or full :class:`~repro.tenancy.TenantSpec`
+    objects) reach only the experiments that declare them; see
+    :func:`run`.
     """
 
     exp_id: str
@@ -91,7 +92,6 @@ class ExperimentSpec:
     version: int = SPEC_VERSION
     cluster: Mapping[str, Any] = field(default_factory=dict)
     faults: Optional["FaultPlan"] = None
-    shards: int = 1
     tenants: Tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
@@ -102,14 +102,16 @@ class ExperimentSpec:
                 f"ExperimentSpec version {self.version} is not "
                 f"supported by api {__api_version__} "
                 f"(expected {SPEC_VERSION})")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.faults is not None:
             from repro.faults import FaultPlan
             if not isinstance(self.faults, FaultPlan):
                 raise TypeError(
                     "faults must be a repro.faults.FaultPlan "
                     f"(got {type(self.faults).__name__})")
+        if isinstance(self.tenants, str):
+            raise TypeError(
+                f"tenants must be a sequence of workload names, not a "
+                f"bare string: pass ({self.tenants!r},)")
         object.__setattr__(self, "tenants", tuple(self.tenants))
         if self.tenants:
             from repro.tenancy import TenantSpec
@@ -185,8 +187,6 @@ def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
         out["cluster"] = dict(spec.cluster)
     if spec.faults is not None:
         out["faults"] = dataclasses.asdict(spec.faults)
-    if spec.shards != 1:
-        out["shards"] = spec.shards
     if spec.tenants:
         from repro.tenancy import spec_to_dict as _tenant_to_dict
         out["tenants"] = [t if isinstance(t, str)
@@ -203,7 +203,6 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
         "version": int(data.pop("version", SPEC_VERSION)),
         "params": dict(data.pop("params", {}) or {}),
         "cluster": dict(data.pop("cluster", {}) or {}),
-        "shards": int(data.pop("shards", 1)),
     }
     faults = data.pop("faults", None)
     if faults is not None:
@@ -214,7 +213,9 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
                 tuple(o) for o in faults["outages"])
         kwargs["faults"] = FaultPlan(**faults)
     tenants = data.pop("tenants", None)
-    if tenants:
+    if isinstance(tenants, str):
+        kwargs["tenants"] = tenants     # rejected by ExperimentSpec
+    elif tenants:
         from repro.tenancy import spec_from_dict as _tenant_from_dict
         kwargs["tenants"] = tuple(
             t if isinstance(t, str) else _tenant_from_dict(t)
@@ -329,7 +330,7 @@ def run(*, spec: ExperimentSpec,
     Resolution: ``exp_id`` is looked up in the experiment registry,
     then in the named sweeps (``sweep:<name>`` forces the latter).
 
-    ``faults``, ``shards`` and ``tenants`` reach the runner under the
+    ``faults`` and ``tenants`` reach the runner under the
     keywords its registry entry declares (``Experiment.spec_fields``;
     e.g. ``fig_scaleout`` takes ``faults`` as ``plan=``).  Setting one
     the experiment does not declare raises ``ValueError`` naming the

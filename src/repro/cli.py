@@ -11,7 +11,6 @@ Usage::
     python -m repro.cli figures --figs fig4,fig6 --workers 2
     python -m repro.cli sweep --name gups --nodes 4,8,16
     python -m repro.cli scaleout --nodes 64,128,256,512,1024 --workers 4
-    python -m repro.cli scaleout --nodes 4096 --shards 4  # sharded PDES
     python -m repro.cli bench                        # perf trajectory
     python -m repro.cli cache --cache .repro-cache   # stats / --clear
     python -m repro.cli faults --drops 0,0.02,0.05 --workloads gups
@@ -252,8 +251,8 @@ def cmd_scaleout(args) -> Table:
         params=dict(workloads=tuple(args.workloads),
                     nodes=tuple(args.nodes),
                     fabrics=tuple(args.fabrics),
-                    seed=args.seed, flow_impl=args.flow_impl),
-        shards=args.shards), options=_options(args))
+                    seed=args.seed, flow_impl=args.flow_impl)),
+        options=_options(args))
 
 
 def cmd_bench(args):
@@ -272,8 +271,8 @@ def cmd_bench(args):
     data = json.loads(path.read_text())
     base_keys = ("reference_seconds", "serial_seconds", "cold_seconds",
                  "pre_pr2_seconds")
-    best_keys = ("fast_seconds", "sharded_seconds", "parallel_seconds",
-                 "warm_seconds", "post_pr2_seconds")
+    best_keys = ("fast_seconds", "parallel_seconds", "warm_seconds",
+                 "post_pr2_seconds")
     t = Table(f"Execution-performance trajectory ({path})",
               ["benchmark", "baseline_s", "best_s", "ratio", "date"])
     for name, entry in data.items():
@@ -696,10 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="fast", dest="flow_impl",
                    help="scaleout: flow-engine implementation "
                         "(default fast; both are bit-identical)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="scaleout: PDES shard count — partitions each "
-                        "point's simulation across OS processes, "
-                        "bit-identical to serial (default 1)")
     p.add_argument("--bench-file", default="BENCH_exec.json",
                    metavar="FILE",
                    help="bench: performance-trajectory JSON to print")

@@ -47,11 +47,6 @@ class ClusterSpec:
     #: bit-identical — see :mod:`repro.dv.fastflow`); applies to both
     #: fabrics' flow-level models
     flow_impl: str = "reference"
-    #: conservative-PDES shard count (:mod:`repro.sim.pdes`): ``> 1``
-    #: partitions the simulation across OS processes, bit-identical to
-    #: serial; requires ``flow_impl="fast"``.  ``1`` (the default) still
-    #: honours a scoped ``pdes.session(n)`` override.
-    shards: int = 1
     #: production-shaped load: a :class:`~repro.traffic.TrafficModel`
     #: (destination distribution + arrival process) the traffic-aware
     #: kernels honour.  ``None`` keeps every kernel on its legacy
@@ -74,12 +69,6 @@ class ClusterSpec:
             raise ValueError(
                 f'flow_impl must be "reference" or "fast", '
                 f'got {self.flow_impl!r}')
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shards > 1 and self.flow_impl != "fast":
-            raise ValueError(
-                'shards > 1 requires flow_impl="fast" (the sharded '
-                "transports build on the pooled engines)")
         if self.traffic is not None:
             from repro.traffic.model import TrafficModel
             if not isinstance(self.traffic, TrafficModel):
@@ -136,23 +125,6 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
     """
     if fabric not in ("dv", "mpi"):
         raise ValueError(f'fabric must be "dv" or "mpi", got {fabric!r}')
-
-    # Conservative-PDES dispatch: an explicit spec.shards wins; a spec
-    # left at 1 honours the scoped pdes.session(n) override.  The
-    # sharded runner raises ShardingFallback for anything it cannot
-    # reproduce bit-identically, and this serial body is the fallback.
-    shards = spec.shards
-    if shards == 1:
-        from repro.sim import pdes
-        shards = pdes.session_shards() or 1
-    if shards > 1 and spec.n_nodes > 1:
-        from repro.sim import pdes
-        from repro.sim.pdes.runner import run_spmd_sharded
-        try:
-            return run_spmd_sharded(spec, program, fabric, max_events,
-                                    shards=shards)
-        except pdes.ShardingFallback:
-            pass
 
     # Tenancy determinism axis: inside a tenancy.shadow_session() the
     # whole run is routed through the co-scheduler as a single

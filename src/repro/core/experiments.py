@@ -312,7 +312,7 @@ REGISTRY: Dict[str, Experiment] = {
             "per-PE DV rates stay near-flat across five doublings; "
             "MPI per-PE rates decay (SS IX extended)",
             _run_fig_scaleout,
-            spec_fields={"faults": "plan", "shards": "shards"}),
+            spec_fields={"faults": "plan"}),
         Experiment(
             "fig_skew", "GUPS vs destination skew (DV/IB ratio)",
             "GUPS under uniform / Zipf(0.6, 1.2, 1.8) / hot-set "

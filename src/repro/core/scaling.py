@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.cluster import ClusterSpec
 from repro.dv.fastswitch import FastCycleSwitch
@@ -164,74 +163,6 @@ def cluster_scaling(node_counts: Sequence[int] = (8, 16, 32, 64, 128),
     return {n: row for n, row in zip(node_counts, rows)}
 
 
-# ---------------------------------------------------- PDES partitioning ---
-
-def partition_ports(n_nodes: int, shards: int, *, fabric: str = "dv",
-                    dv: Optional["DVConfig"] = None,
-                    ib: Optional["IBConfig"] = None) -> np.ndarray:
-    """Topology-aware node → shard assignment for the PDES runner.
-
-    Ports that share switch structure stay together: on the Data Vortex
-    the unit is the cylinder *height* (the ``angles`` ports of one
-    height row enter the switch together — see
-    :class:`~repro.dv.topology.DataVortexTopology.port_coord`); on the
-    fat tree it is the leaf switch (``leaf_size`` nodes per leaf).
-    Units are split into ``shards`` contiguous, balanced runs.
-
-    The assignment is a pure function of ``(n_nodes, shards,
-    angles-or-leaf_size)`` — independent of which ranks run what — so
-    it is stable under program-level relabelling (the property the
-    partitioner edge-case tests pin).  ``shards`` may exceed the unit
-    count, in which case trailing shards own no ports (the runner
-    simply has nothing to run there).
-
-    Returns an int64 array of length ``n_nodes``: ``shard_of[port]``.
-    """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if fabric == "dv":
-        from repro.dv.config import DVConfig
-        cfg = (dv or DVConfig()).scaled_to_ports(n_nodes)
-        unit = cfg.angles
-    elif fabric in ("ib", "mpi"):
-        from repro.ib.config import IBConfig
-        unit = (ib or IBConfig()).leaf_size
-    else:
-        raise ValueError(f'fabric must be "dv" or "mpi", got {fabric!r}')
-    ports = np.arange(n_nodes, dtype=np.int64)
-    groups = ports // unit
-    n_groups = int(groups[-1]) + 1
-    eff = min(shards, n_groups)
-    return (groups * eff) // n_groups
-
-
-def dv_lookahead_s(config: "DVConfig", n_ports: int) -> float:
-    """Conservative PDES lookahead for the DV flow model.
-
-    Every first arrival satisfies ``first_arrival = inj_start + gap +
-    (hops + penalty) * hop`` with ``inj_start >= now``, ``gap >= hop``
-    and ``penalty >= 0``, so the minimum cross-port latency is
-    ``(1 + min_hops) * hop`` — the window width within which shards
-    cannot affect each other.
-    """
-    from repro.dv.fastflow import hop_table
-    cfg = config.scaled_to_ports(n_ports)
-    topo = DataVortexTopology(height=cfg.height, angles=cfg.angles)
-    return cfg.hop_time_s * (1 + int(hop_table(topo, n_ports).min()))
-
-
-def ib_lookahead_s(config: "IBConfig") -> float:
-    """Conservative PDES lookahead for the IB fabric.
-
-    ``arrival = start + occupancy + wire + hops*hop_lat`` with
-    ``start >= now``, ``occupancy >= msg_gap`` and ``hops >= 2``.
-    """
-    return (config.msg_gap_s + config.wire_latency_s
-            + 2 * config.hop_latency_s)
-
-
 # ------------------------------------------------- scale-out projection ---
 
 #: Node counts of the cluster projection (§IX extended to a full rack
@@ -267,7 +198,7 @@ def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
 
 def scaleout_point(workload: str, fabric: str, n_nodes: int,
                    seed: int = 2017, flow_impl: str = "fast",
-                   plan: Optional["FaultPlan"] = None, shards: int = 1,
+                   plan: Optional["FaultPlan"] = None,
                    **overrides) -> Dict[str, float]:
     """One (workload, fabric, node-count) projection point.
 
@@ -275,20 +206,17 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
     into pool workers and memoises in the result cache.  ``plan`` (a
     :class:`~repro.faults.FaultPlan`) is installed around the kernel run
     *here*, inside the point, so fault studies work identically under a
-    serial executor and a process pool.  ``shards > 1`` runs the point
-    on the multi-process PDES engine (:mod:`repro.sim.pdes`) —
-    bit-identical results, wall-clock divided across cores.  Returns
-    ``per_pe`` and ``total`` in the workload's natural rate unit (MUPS,
-    MTEPS or GFLOPS) plus the simulated ``elapsed_s``.
+    serial executor and a process pool.  Returns ``per_pe`` and
+    ``total`` in the workload's natural rate unit (MUPS, MTEPS or
+    GFLOPS) plus the simulated ``elapsed_s``.
     """
     from repro import faults
     from repro.kernels import run_bfs, run_fft1d, run_gups
 
     params = scaleout_params(workload, n_nodes)
     params.update(overrides)
-    spec = ClusterSpec(n_nodes=n_nodes, seed=seed, flow_impl=flow_impl,
-                       shards=shards)
-    with faults.session(plan) if plan is not None else _null():
+    spec = ClusterSpec(n_nodes=n_nodes, seed=seed, flow_impl=flow_impl)
+    with faults.session(plan) if plan is not None else nullcontext():
         if workload == "gups":
             r = run_gups(spec, fabric, **params)
             per_pe, total = r["mups_per_pe"], r["mups_total"]
@@ -305,24 +233,12 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
             "elapsed_s": r["elapsed_s"]}
 
 
-class _null:
-    """Minimal no-op context (``contextlib.nullcontext`` without the
-    import at module scope)."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
                    nodes: Sequence[int] = SCALEOUT_NODES,
                    fabrics: Sequence[str] = SCALEOUT_FABRICS,
                    seed: int = 2017, flow_impl: str = "fast",
                    plan: Optional["FaultPlan"] = None,
                    executor: Optional["Executor"] = None,
-                   shards: int = 1,
                    **overrides) -> List[Dict[str, float]]:
     """The cluster projection grid: workloads x nodes x fabrics.
 
@@ -337,7 +253,6 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     from repro.exec import Executor
     executor = executor or Executor()
     grid = [{"workload": w, "fabric": f, "n_nodes": n, "seed": seed,
-             "flow_impl": flow_impl, "plan": plan, "shards": shards,
-             **overrides}
+             "flow_impl": flow_impl, "plan": plan, **overrides}
             for w in workloads for n in nodes for f in fabrics]
     return executor.map(scaleout_point, grid, name="scaling.scaleout")

@@ -381,267 +381,3 @@ class FastFlowNetwork(FlowNetwork):
         if done is not None:
             done.succeed(payload)
 
-
-class ShardedFlowNetwork(FastFlowNetwork):
-    """Shard-local view of one Data Vortex switch (conservative PDES).
-
-    Each shard owns a contiguous range of ports (its ranks' VICs).  A
-    transmit performs every *port-local* step of the fast engine
-    inline — injection serialisation, stats, sequence burning — but the
-    deflection penalty needs the **global** busy-port census, so pricing
-    is deferred: the call logs one ledger row, and at the window barrier
-    the hub replays all shards' rows in the deterministic merge order
-    (:mod:`repro.sim.pdes.ledger`) and hands the penalties back.
-    :meth:`price_and_emit` then finishes each pending transfer with the
-    serial engine's exact float operations, scheduling local arrivals
-    directly and batching cross-shard ones for the hub to route
-    (:meth:`ingest` on the destination shard).
-
-    Conservative-lookahead invariant: a first arrival is at least
-    ``gap + min_hops*hop >= (1 + hops.min()) * hop`` after its transmit,
-    so every arrival priced at a window barrier fires at or beyond the
-    window end — never in the shard's past.
-
-    Completion events for cross-shard transfers are created (API
-    parity) but never fire; the runner detects programs that wait on
-    them as a sharded-only deadlock and falls back to serial.
-    """
-
-    # Per-group completion events, joined by an ``AllOf``: a scatter
-    # with a cross-shard group then never completes, which the runner
-    # needs in order to detect the wait and fall back to serial.
-    _scatter = FlowNetwork._scatter
-
-    def __init__(self, engine: Engine, config: DVConfig, n_ports: int,
-                 shard_of: "np.ndarray", shard_id: int) -> None:
-        super().__init__(engine, config, n_ports)
-        self.shard_of = shard_of
-        self.shard_id = shard_id
-        self.n_shards = int(shard_of.max()) + 1
-        #: ledger rows for the current window: (t_tx, origin, lseq, src,
-        #: mark_end); 1:1 with ``_pending_px``
-        self._rows: list = []
-        #: deferred transfers awaiting a penalty, in row order
-        self._pending_px: list = []
-
-    # -- transfers (deferred pricing) -------------------------------------
-    def transmit(self, src: int, dest: int, n_packets: int,
-                 payload: Any = None, inject_rate: Optional[float] = None,
-                 ) -> Event:
-        if not 0 <= src < self.n_ports:
-            raise ValueError(f"bad src port {src}")
-        if not 0 <= dest < self.n_ports:
-            raise ValueError(f"bad dest port {dest}")
-        if n_packets < 1:
-            raise ValueError("n_packets must be >= 1")
-
-        engine = self.engine
-        now = engine.now
-        hop = self._hop
-        gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
-
-        inj_start = max(now, self._inject_free[src])
-        self.stats.total_injection_wait_s += inj_start - now
-        inj_end = inj_start + n_packets * gap
-        self._inject_free[src] = inj_end
-
-        self.stats.packets_sent += n_packets
-        self.stats.transfers += 1
-        if self._obs_on:
-            self._m_packets.inc(n_packets)
-            self._m_transfers.inc()
-            self._m_inj_wait.observe(inj_start - now)
-
-        done = CompletionEvent(engine, fabric="dv", op="transmit",
-                               src=src, dest=dest, words=n_packets)
-        seq0 = engine.burn_seq(1)
-        origin = engine._origin
-        self._rows.append((now, origin, seq0, src, inj_end))
-        self._pending_px.append(
-            (False, now, origin, seq0, src, gap, inj_start, inj_end,
-             dest, n_packets, payload, done))
-        return done
-
-    def transmit_batch(self, src: int, dests: Sequence[int],
-                       counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       collect: bool = True) -> List[Event]:
-        if not (len(dests) == len(counts) == len(payloads)):
-            raise ValueError("dests, counts, payloads must align")
-        m = len(dests)
-        if m == 0:
-            return []
-        if not 0 <= src < self.n_ports:
-            raise ValueError(f"bad src port {src}")
-        d = np.asarray(dests, dtype=np.int64)
-        c = np.asarray(counts, dtype=np.int64)
-        if not ((0 <= d) & (d < self.n_ports)).all():
-            bad = int(d[(d < 0) | (d >= self.n_ports)][0])
-            raise ValueError(f"bad dest port {bad}")
-        if not (c >= 1).all():
-            raise ValueError("n_packets must be >= 1")
-
-        engine = self.engine
-        now = engine.now
-        hop = self._hop
-        gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
-
-        first_start = max(now, self._inject_free[src])
-        seq = np.empty(m + 1, np.float64)
-        seq[0] = first_start
-        np.multiply(c, gap, out=seq[1:])
-        np.add.accumulate(seq, out=seq)
-        inj_start = seq[:m]
-        self._inject_free[src] = float(seq[m])
-
-        waits = inj_start - now
-        acc = self.stats.total_injection_wait_s
-        for w in waits.tolist():
-            acc += w
-        self.stats.total_injection_wait_s = acc
-        n_total = int(c.sum())
-        self.stats.packets_sent += n_total
-        self.stats.transfers += m
-        if self._obs_on:
-            self._m_packets.inc(n_total)
-            self._m_transfers.inc(m)
-            self._m_inj_wait.observe_many(waits)
-
-        dones: List[Event] = []
-        if collect:
-            dl = d.tolist()
-            cl = c.tolist()
-            dones = [CompletionEvent(engine, fabric="dv", op="transmit",
-                                     src=src, dest=dl[k], words=cl[k])
-                     for k in range(m)]
-        seq0 = engine.burn_seq(m)
-        origin = engine._origin
-        self._rows.append((now, origin, seq0, src, float(seq[m])))
-        self._pending_px.append(
-            (True, now, origin, seq0, src, gap, inj_start, seq[1:].copy(),
-             d, c, list(payloads), dones or None))
-        return dones
-
-    # -- window barrier ----------------------------------------------------
-    def take_rows(self) -> list:
-        rows, self._rows = self._rows, []
-        return rows
-
-    def price_and_emit(self, penalties: Sequence[float]) -> List[list]:
-        """Finish the window's deferred transfers with their penalties.
-
-        Local arrivals are scheduled on this shard's engine under their
-        burned merge keys; cross-shard arrivals are returned as one
-        record per destination shard, columns ready for the pipe:
-        ``[sched, origin, src, fire[], floor[], seq[], dest[], n[],
-        PackedEffects]``.
-        """
-        from repro.sim.pdes.pack import pack_effects
-        pending, self._pending_px = self._pending_px, []
-        if len(penalties) != len(pending):
-            raise RuntimeError("penalty/pending ledger mismatch")
-        engine = self.engine
-        hop = self._hop
-        shard_of = self.shard_of
-        my = self.shard_id
-        out: List[list] = []
-        for p, penalty in zip(pending, penalties):
-            batch = p[0]
-            if not batch:
-                (_, now, origin, seq0, src, gap, inj_start, inj_end,
-                 dest, n_packets, payload, done) = p
-                tof = (int(self._hops[src, dest]) + penalty) * hop
-                first_arrival = inj_start + gap + tof
-                floor = inj_end + tof
-                if shard_of[dest] == my:
-                    engine.schedule_key(first_arrival, now, origin, seq0,
-                                        self._arrive,
-                                        (src, dest, n_packets, floor,
-                                         payload, done))
-                else:
-                    out.append([now, origin, src,
-                                np.array([first_arrival]),
-                                np.array([floor]),
-                                np.array([seq0], np.int64),
-                                np.array([dest], np.int64),
-                                np.array([n_packets], np.int64),
-                                pack_effects([payload]),
-                                int(shard_of[dest])])
-                continue
-            (_, now, origin, seq0, src, gap, inj_start, inj_end,
-             d, c, payloads, dones) = p
-            tof = (self._hops[src, d] + penalty) * hop
-            first_arrival = (inj_start + gap) + tof
-            floor = inj_end + tof
-            owner = shard_of[d]
-            local = owner == my
-            if local.any():
-                fa_l = first_arrival.tolist()
-                fl_l = floor.tolist()
-                dl = d.tolist()
-                cl = c.tolist()
-                for k in np.flatnonzero(local).tolist():
-                    engine.schedule_key(
-                        fa_l[k], now, origin, seq0 + k, self._arrive,
-                        (src, dl[k], cl[k], fl_l[k], payloads[k],
-                         dones[k] if dones else None))
-            if not local.all():
-                for sid in np.unique(owner[~local]).tolist():
-                    sel = np.flatnonzero(owner == sid)
-                    out.append([now, origin, src,
-                                first_arrival[sel], floor[sel],
-                                seq0 + sel.astype(np.int64),
-                                d[sel], c[sel],
-                                pack_effects([payloads[k]
-                                              for k in sel.tolist()]),
-                                int(sid)])
-        return out
-
-    def ingest(self, record: list) -> None:
-        """Schedule one inbound cross-shard arrival record."""
-        from repro.sim.pdes.pack import unpacker
-        (now, origin, src, fire, floor, seqs, dest, n, packed, _sid) = record
-        take = unpacker(packed).take
-        schedule = self.engine.schedule_key
-        arrive = self._arrive
-        fire_l = fire.tolist()
-        floor_l = floor.tolist()
-        seq_l = seqs.tolist()
-        dest_l = dest.tolist()
-        n_l = n.tolist()
-        for k in range(len(fire_l)):
-            schedule(fire_l[k], now, origin, seq_l[k], arrive,
-                     (src, dest_l[k], n_l[k], floor_l[k], take(k), None))
-
-    # -- arrival / ejection (pool-free) ------------------------------------
-    def _arrive(self, src: int, dest: int, n: int, floor: float,
-                payload: Any, done: Optional[Event]) -> None:
-        t = self.engine.now
-        ej_start = self._eject_free[dest]
-        if t >= ej_start:
-            ej_start = t
-        wait = ej_start - t
-        self.stats.total_ejection_wait_s += wait
-        if self._obs_on:
-            self._m_ej_wait.observe(wait)
-        ej_end = ej_start + (n - 1) * self._hop
-        if floor > ej_end:
-            ej_end = floor
-        self._eject_free[dest] = ej_end
-        engine = self.engine
-        engine._seq += 1
-        engine._push += 1
-        heappush(engine._queue,
-                 (t + (ej_end - t), t, engine._origin, engine._seq,
-                  engine._push,
-                  _Wakeup(self._deliver2, (src, dest, n, payload, done))))
-
-    def _deliver2(self, src: int, dest: int, n: int, payload: Any,
-                  done: Optional[Event]) -> None:
-        # Faults never run sharded (the runner falls back to serial when
-        # a plan is installed), so no degradation branch here.
-        receiver = self._receivers[dest]
-        if receiver is not None:
-            receiver(src, payload, n)
-        if done is not None:
-            done.succeed(payload)

@@ -9,14 +9,10 @@ vs parallel pools, warm-cache equivalence, all-zero fault plans) into
 * ``cache``  — cold run vs a warm re-run through a result cache,
 * ``obs``    — metrics collection off vs on,
 * ``faults`` — no fault plan vs an installed all-zero :class:`FaultPlan`,
-* ``shards`` — serial event loop vs the two-shard PDES runner
-  (:mod:`repro.sim.pdes`; figures on the reference flow engine take the
-  documented fallback path and must come back identical too),
 * ``agg``    — the figure under a scoped :func:`repro.agg.session`
-  aggregation override: repeats and a two-shard run must agree with
-  each other bit-for-bit (seeded flush ordering), though kernels that
-  consult the override legitimately diverge from the un-aggregated
-  baseline,
+  aggregation override: two repeats must agree with each other
+  bit-for-bit (seeded flush ordering), though kernels that consult the
+  override legitimately diverge from the un-aggregated baseline,
 * ``tenancy`` — the figure inside a
   :func:`repro.tenancy.shadow_session`: every ``run_spmd`` is routed
   through the co-scheduler as one full-width identity tenant, which
@@ -79,8 +75,8 @@ GOLDEN_CONFIGS: Dict[str, Dict[str, Any]] = {
                  "table_words": 1 << 10, "n_updates": 1 << 8},
     # aggregation crossover sweep at a tiny config: pins the repro.agg
     # coalescing runtime (explicit AggSpecs inside the grid, so the
-    # workers/cache/shards axes exercise aggregated runs in worker
-    # processes too)
+    # workers/cache axes exercise aggregated runs in worker processes
+    # too)
     "fig_agg": {"seed": GOLDEN_SEED, "nodes": 2,
                 "exponents": (0.0, 1.2), "include_hotset": True,
                 "watermarks": (1, 64),
@@ -93,11 +89,11 @@ GOLDEN_CONFIGS: Dict[str, Dict[str, Any]] = {
                                    ("bfs", "scan"), ("scan", "bfs"))},
 }
 
-#: The seven determinism axes, in report order.  ``agg`` is special:
+#: The six determinism axes, in report order.  ``agg`` is special:
 #: its candidates are compared against *each other*, not the shared
 #: baseline (see :func:`check_axis`).
-AXES: Tuple[str, ...] = ("workers", "cache", "obs", "faults", "shards",
-                         "agg", "tenancy")
+AXES: Tuple[str, ...] = ("workers", "cache", "obs", "faults", "agg",
+                         "tenancy")
 
 
 def _golden_point(fig: str, **params: Any) -> Table:
@@ -285,35 +281,18 @@ def _axis_faults(fig: str, params: Dict[str, Any]) -> List[Table]:
         return [_golden_point(fig, **params)]
 
 
-def _axis_shards(fig: str, params: Dict[str, Any]) -> List[Table]:
-    """The figure under a scoped two-shard PDES override: every run on
-    the fast flow engines executes on the multi-process runner; runs the
-    sharded transports cannot split exactly fall back to serial — either
-    way the table must be bit-identical."""
-    from repro.sim import pdes
-    with pdes.session(2):
-        return [_golden_point(fig, **params)]
-
-
 def _axis_agg(fig: str, params: Dict[str, Any]) -> List[Table]:
-    """The figure under a scoped aggregation session, three ways: two
-    plain repeats plus a two-shard PDES run.  Kernels that consult
-    :func:`repro.agg.resolve_spec` legitimately produce *different*
-    tables from the un-aggregated baseline (coalescing changes message
-    timing), so this axis demands bit-identity among the aggregated
-    candidates themselves — seeded flush ordering must hold across
-    repeat runs and across shard processes.  Figures whose kernels
-    ignore aggregation simply reproduce the baseline three times."""
+    """The figure twice under a scoped aggregation session.  Kernels
+    that consult :func:`repro.agg.resolve_spec` legitimately produce
+    *different* tables from the un-aggregated baseline (coalescing
+    changes message timing), so this axis demands bit-identity between
+    the two aggregated repeats — seeded flush ordering must hold across
+    runs.  Figures whose kernels ignore aggregation simply reproduce
+    the baseline twice."""
     from repro import agg
     from repro.agg import AggSpec
-    from repro.sim import pdes
-    out: List[Table] = []
     with agg.session(AggSpec(watermark=64)):
-        out.append(_golden_point(fig, **params))
-        out.append(_golden_point(fig, **params))
-        with pdes.session(2):
-            out.append(_golden_point(fig, **params))
-    return out
+        return [_golden_point(fig, **params) for _ in range(2)]
 
 
 def _axis_tenancy(fig: str, params: Dict[str, Any]) -> List[Table]:
@@ -349,8 +328,6 @@ def check_axis(fig: str, axis: str, baseline: Optional[Table] = None,
                 candidates = _axis_cache(fig, params, tmp)
     elif axis == "obs":
         candidates = _axis_obs(fig, params)
-    elif axis == "shards":
-        candidates = _axis_shards(fig, params)
     elif axis == "tenancy":
         candidates = _axis_tenancy(fig, params)
     elif axis == "agg":

@@ -227,8 +227,8 @@ class _Exchange:
     only when such events exist (:meth:`_replay_passes`).
     """
 
-    __slots__ = ("ep", "chunks", "out", "tag", "peers", "done", "origin",
-                 "state", "first_open", "joined")
+    __slots__ = ("ep", "chunks", "out", "tag", "peers", "done", "state",
+                 "first_open", "joined")
 
     def __init__(self, ep: "MPIEndpoint", chunks: List[Any],
                  out: List[Any], tag: int) -> None:
@@ -240,20 +240,11 @@ class _Exchange:
         self.tag = tag
         self.peers = [(rank + i) % p for i in range(1, p)]
         self.done = engine.event(name=f"alltoall @{rank}")
-        # the cascade this rank's work belongs to (sharded PDES merge
-        # key); callbacks entered from a peer's arrival re-root to it,
-        # as a resumed Process would
-        self.origin = engine._origin
         #: per request (receives, then sends, in step order)
         self.state = bytearray(2 * (p - 1))
         self.first_open = 0      # lowest request not yet completed
         self.joined = 0          # request the rank is joining
         engine.call_in(ep.config.sw_overhead_s, self._step, 0)
-
-    def _reroot(self) -> None:
-        engine = self.ep.engine
-        if engine._track_origin:
-            engine._origin = self.origin
 
     # -- chain ----------------------------------------------------------
     def _step(self, k: int) -> None:
@@ -298,7 +289,6 @@ class _Exchange:
         self.ep.engine.call_in(0.0, self._matched, arrival)
 
     def _matched(self, arrival) -> None:
-        self._reroot()
         ep = self.ep
         src = arrival.src
         i = (src - ep.rank) % ep.size - 1
@@ -324,7 +314,6 @@ class _Exchange:
         return engine.peek() <= engine.now
 
     def _complete(self, i: int) -> None:
-        self._reroot()
         state = self.state
         # a request completing behind an open one is settled before the
         # rank can reach it, so only the lowest open one needs its pass

@@ -60,18 +60,9 @@ class Engine:
     entry carries a monotonically increasing sequence number assigned at
     enqueue time, and no two entries share one, so heap ordering among
     same-time events is exactly insertion order.  This invariant is what
-    the fast/reference bit-identity proofs and the sharded PDES merge
-    ordering (:mod:`repro.sim.pdes`) are built on — see
+    the fast/reference bit-identity proofs are built on — see
     ``tests/test_sim_engine.py::test_simultaneous_events_fire_in_insertion_order``.
     """
-
-    # Subclasses that replay events merged from several shards flip this
-    # on so Process resumption re-roots the cascade-origin bookkeeping
-    # (see repro.sim.pdes.engine.ShardEngine).  The serial engine never
-    # reads _origin; keeping the flag a class attribute keeps the serial
-    # hot path untouched.
-    _track_origin = False
-    _origin = -1
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
@@ -187,8 +178,7 @@ class Engine:
             raise SimulationError(
                 f"run(until={until!r}) is before the current time "
                 f"{self._now!r}")
-        if (until is None and max_events is None and not self._obs_on
-                and type(self).step is Engine.step):
+        if until is None and max_events is None and not self._obs_on:
             self._drain()
             return
         n = 0

@@ -28,7 +28,7 @@ class Process(Event):
     Do not instantiate directly; use :meth:`Engine.process`.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_started", "origin")
+    __slots__ = ("_generator", "_waiting_on", "_started")
 
     def __init__(self, engine: "Engine", generator: Generator,
                  name: str = "") -> None:
@@ -38,9 +38,6 @@ class Process(Event):
                 "did you forget to call the generator function?")
         super().__init__(engine, name=name or getattr(
             generator, "__name__", "process"))
-        # Cascade root this process belongs to (sharded PDES merge key);
-        # -1 under the serial engine, which never tracks origins.
-        self.origin = engine._origin
         self._generator = generator
         self._waiting_on: Event | None = None
         self._started = False
@@ -89,10 +86,6 @@ class Process(Event):
             # this waitable was pending.  Ignore it.
             return
         self._waiting_on = None
-        if self.engine._track_origin:
-            # Everything this resumption schedules belongs to the same
-            # cascade root (shard merge ordering, repro.sim.pdes).
-            self.engine.reroot(self)
         try:
             if trigger.ok:
                 target = self._generator.send(trigger.value)

@@ -1,4 +1,4 @@
-"""The api contract (3.0): one spec, two verbs, declared spec fields.
+"""The api contract (4.0): one spec, two verbs, declared spec fields.
 
 Everything the facade promises (docs/api.md): :class:`ExperimentSpec`
 carries the whole request; :func:`api.run` threads each set spec field
@@ -77,16 +77,15 @@ def test_run_rejects_tenants_without_runner_keyword():
         api.run(spec=spec)
 
 
-def test_run_threads_declared_faults_and_shards_as_runner_keywords():
-    """fig_scaleout declares faults as plan= and shards as shards=:
-    the spec fields must land exactly where explicit params would."""
+def test_run_threads_declared_faults_as_plan_keyword():
+    """fig_scaleout declares faults as plan=: the spec field must land
+    exactly where an explicit param would."""
     params = {"workloads": ("gups",), "nodes": (64,), "fabrics": ("dv",)}
     plan = FaultPlan(seed=3, pcie_delay_prob=0.2)
     via_spec = api.run(spec=api.ExperimentSpec(
-        exp_id="fig_scaleout", params=params, faults=plan, shards=2))
+        exp_id="fig_scaleout", params=params, faults=plan))
     via_params = api.run(spec=api.ExperimentSpec(
-        exp_id="fig_scaleout",
-        params={**params, "plan": plan, "shards": 2}))
+        exp_id="fig_scaleout", params={**params, "plan": plan}))
     # repr: the mpi columns are NaN (dv only), and NaN != NaN
     assert repr(_rows(via_spec)) == repr(_rows(via_params))
     with pytest.raises(ValueError, match="conflicts with params"):
@@ -96,7 +95,6 @@ def test_run_threads_declared_faults_and_shards_as_runner_keywords():
 
 
 _FIELD_VALUES = {"faults": FaultPlan(seed=3, drop_prob=0.1),
-                 "shards": 2,
                  "tenants": ("gups", "fft")}
 
 
@@ -128,11 +126,11 @@ def test_undeclared_spec_field_is_rejected_before_running(exp_id, name,
 def test_declared_fields_name_real_spec_fields():
     fields = {f.name for f in dataclasses.fields(api.ExperimentSpec)}
     assert fields == {"exp_id", "params", "version", "cluster", "faults",
-                      "shards", "tenants"}
+                      "tenants"}
     declared = {exp_id: dict(e.spec_fields)
                 for exp_id, e in REGISTRY.items() if e.spec_fields}
     assert declared == {
-        "fig_scaleout": {"faults": "plan", "shards": "shards"},
+        "fig_scaleout": {"faults": "plan"},
         "fig_interference": {"tenants": "tenants"},
     }
 
@@ -151,9 +149,9 @@ def test_traffic_and_aggregation_belong_to_the_cluster():
 
 
 def test_sweep_spec_rejects_session_fields_and_odd_params():
-    with pytest.raises(ValueError, match="does not take spec.shards"):
+    with pytest.raises(ValueError, match="does not take spec.faults"):
         api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
-                                        shards=2))
+                                        faults=FaultPlan(seed=3)))
     with pytest.raises(ValueError, match="unknown sweep param"):
         api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
                                         params={"nodes": [2]}))
@@ -171,6 +169,12 @@ def test_spec_rejects_wrong_field_types():
         api.ExperimentSpec(exp_id="fig4", faults={"seed": 3})
     with pytest.raises(TypeError, match="workload names"):
         api.ExperimentSpec(exp_id="fig4", tenants=(42,))
+    # a bare string is one workload name, not a tuple of letters
+    with pytest.raises(TypeError, match=r"\('gups',\)"):
+        api.ExperimentSpec(exp_id="fig_interference", tenants="gups")
+    with pytest.raises(TypeError, match=r"\('gups',\)"):
+        api.spec_from_dict(data={"exp_id": "fig_interference",
+                                 "tenants": "gups"})
 
 
 def test_spec_json_round_trip_is_exact():
@@ -180,7 +184,6 @@ def test_spec_json_round_trip_is_exact():
         cluster={"seed": 5},
         faults=FaultPlan(seed=3, drop_prob=0.01,
                          link_outages=((1, 0.0, 1e-6),)),
-        shards=2,
         tenants=("gups",
                  TenantSpec(tenant_id="t", workload="fft", n_ranks=4)))
     wire = json.loads(json.dumps(api.spec_to_dict(spec=spec)))
@@ -190,6 +193,11 @@ def test_spec_json_round_trip_is_exact():
 def test_spec_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="bogus"):
         api.spec_from_dict(data={"exp_id": "fig4", "bogus": 1})
+    # removed in api 4.0 with the sharded PDES runner
+    with pytest.raises(ValueError, match="shards"):
+        api.spec_from_dict(data={"exp_id": "fig_scaleout", "shards": 2})
+    with pytest.raises(TypeError, match="shards"):
+        api.ExperimentSpec(exp_id="fig_scaleout", shards=2)
 
 
 # ------------------------------------------------------------- submit ---
@@ -208,9 +216,6 @@ def test_submit_rejects_session_scoped_fields(tmp_path):
     spec = api.ExperimentSpec(exp_id="fig4",
                               faults=FaultPlan(seed=3, drop_prob=0.1))
     with pytest.raises(ValueError, match="does not take spec.faults"):
-        api.submit(spec=spec, state_dir=str(tmp_path))
-    spec = api.ExperimentSpec(exp_id="fig4", shards=4)
-    with pytest.raises(ValueError, match="shards"):
         api.submit(spec=spec, state_dir=str(tmp_path))
     # declared, but a FaultPlan has no service-job wire form
     spec = api.ExperimentSpec(exp_id="fig_scaleout",
@@ -236,8 +241,8 @@ def test_submit_rejects_tenants_on_non_tenant_experiment(tmp_path):
 
 # ------------------------------------------------------------ version ---
 
-def test_api_version_is_three():
-    assert api.__api_version__.split(".")[0] == "3"
+def test_api_version_is_four():
+    assert api.__api_version__.split(".")[0] == "4"
     # 3.0 only dropped spec fields: 2.0 documents keep their meaning
     assert api.SPEC_VERSION == 2
     for name in ("run_figure", "run_sweep", "run_scaleout", "run_skew",

@@ -52,14 +52,14 @@ def test_bench_prints_performance_trajectory(tmp_path, capsys):
         "flow_engine_ab_gups256": {
             "nodes": 256, "reference_seconds": 12.0,
             "fast_seconds": 3.0, "speedup": 4.0, "date": "2026-07-01"},
-        "pdes_ab_gups4096": {
-            "nodes": 4096, "serial_seconds": 100.0,
-            "sharded_seconds": 25.0, "speedup": 4.0},
+        "degradation_sweep": {
+            "drops": [0.0, 0.02], "serial_seconds": 100.0,
+            "parallel_seconds": 25.0, "speedup": 4.0},
     }))
     assert cli.main(["bench", "--bench-file", str(bench)]) == 0
     out = capsys.readouterr().out
     assert "flow_engine_ab_gups256" in out
-    assert "pdes_ab_gups4096" in out
+    assert "degradation_sweep" in out
     assert "4.0" in out  # the speedup column
 
 
@@ -170,6 +170,20 @@ def test_verify_rejects_unknown_axis(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--figs", "fig4", "--goldens", goldens,
                      "--axes", "moon-phase"]) == 2
+    capsys.readouterr()
+    # the shards axis went with the sharded PDES runner
+    assert cli.main(["verify", "--figs", "fig4", "--goldens", goldens,
+                     "--axes", "shards"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown axes shards" in err
+    assert "known: workers, cache, obs, faults, agg, tenancy" in err
+
+
+def test_scaleout_rejects_removed_shards_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scaleout", "--nodes", "64", "--shards", "2"])
+    assert exc.value.code == 2
+    assert "--shards" in capsys.readouterr().err
 
 
 def test_verify_record_and_compare_mutually_exclusive(tmp_path):

@@ -244,3 +244,8 @@ def test_paper_testbed_is_32_nodes():
 def test_cluster_rejects_zero_nodes():
     with pytest.raises(ValueError):
         ClusterSpec(n_nodes=0)
+
+
+def test_cluster_rejects_removed_shards_field():
+    with pytest.raises(TypeError, match="shards"):
+        ClusterSpec(shards=2)

@@ -183,8 +183,8 @@ def test_simultaneous_events_fire_in_insertion_order():
     """Property: events scheduled for the same instant fire in exactly
     the order they were enqueued, for any interleaving of ``timeout``
     and ``call_in`` scheduling and any grouping of instants.  This is
-    the tie-determinism invariant the fast/reference and sharded/serial
-    bit-identity guarantees rest on (see Engine's docstring).
+    the tie-determinism invariant the fast/reference bit-identity
+    guarantee rests on (see Engine's docstring).
     """
     import random
 
@@ -292,18 +292,3 @@ def test_engine_events_metric_counts_with_obs_on():
         eng.run()
         assert eng.events_processed == 5
         assert reg.total("sim.engine.events") == 5
-
-
-def test_shard_engine_keeps_its_merge_key_order():
-    """``ShardEngine`` overrides ``step``, so ``run`` must keep stepping:
-    same-instant entries order by (sched_t, origin, seq), not by push."""
-    from repro.sim.pdes.engine import ShardEngine
-    eng = ShardEngine()
-    fired = []
-    eng.schedule_key(1.0, 0.5, 2, 1, fired.append, ("r2",))
-    eng.schedule_key(1.0, 0.5, 1, 9, fired.append, ("r1",))
-    eng.schedule_key(1.0, 0.2, 3, 4, fired.append, ("early",))
-    eng.schedule_key(0.5, 0.0, 0, 7, fired.append, ("first",))
-    eng.run()
-    assert fired == ["first", "early", "r1", "r2"]
-    assert eng.events_processed == 4

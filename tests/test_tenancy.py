@@ -5,14 +5,14 @@ The contract under test (docs/tenancy.md):
 * a solo full-width tenant is **byte-identical** to the legacy
   untenanted entry point for every workload on both fabrics;
 * ``tenancy.shadow_session()`` routes ``run_spmd`` through the
-  co-scheduler and must change nothing (the seventh golden axis);
+  co-scheduler and must change nothing (the sixth golden axis);
 * per-tenant ``tenant.net.*`` obs series reconcile exactly against the
   cluster-wide FlowStats / FabricStats totals;
 * partition enforcement is real: rank, counter, and DV-memory
   references outside a tenant's window raise
   :class:`TenantIsolationError`;
-* the scoped ``agg`` / ``pdes`` session globals are tenant-safe (the
-  shared-state hazard this layer exposed).
+* the scoped ``agg`` session global is tenant-safe (the shared-state
+  hazard this layer exposed).
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.agg import AggSpec
 from repro.core.cluster import ClusterSpec
 from repro.dv.config import DVConfig
 from repro.faults.plan import FaultPlan
-from repro.sim import pdes
 from repro.tenancy import (TenancyError, TenantIsolationError,
                            TenantPartition, TenantSpec,
                            merge_fault_plans, resolve_partitions,
@@ -386,14 +385,6 @@ def test_nested_anonymous_agg_session_raises():
         # aggregation-free inner scopes still compose (legacy idiom)
         with agg.session(None):
             assert agg.resolve_spec(None) is None
-
-
-def test_nested_pdes_session_raises():
-    with pdes.session(2):
-        with pytest.raises(RuntimeError, match="nested pdes.session"):
-            with pdes.session(4):
-                pass  # pragma: no cover
-    assert pdes.session_shards() == 0
 
 
 def test_ambient_agg_session_stays_invisible_to_regular_tenants():
