@@ -30,12 +30,12 @@ help:
 	@echo "make test-traffic  - traffic models + statistical validation suite only"
 	@echo "make test-agg      - aggregation runtime suite only (docs/aggregation.md)"
 	@echo "make test-service  - experiment service suite only (docs/service.md)"
-	@echo "make test-tenancy  - multi-tenant co-scheduling + api 2.0 suites (docs/tenancy.md)"
+	@echo "make test-tenancy  - multi-tenant co-scheduling + api contract suites (docs/tenancy.md)"
 	@echo "make serve         - boot the experiment service daemon on :7351"
 	@echo "make skew          - fig_skew: GUPS vs destination skew (docs/traffic.md)"
 	@echo "make agg           - fig_agg: aggregated IB vs DV crossover sweep"
 	@echo "make interference  - fig_interference: co-tenant slowdown matrix (docs/tenancy.md)"
-	@echo "make verify        - golden compare + 7-axis determinism harness"
+	@echo "make verify        - golden compare + 6-axis determinism harness"
 	@echo "make golden-record - refresh goldens/ after an intentional figure change"
 	@echo "make bench         - perf regression benchmarks; updates BENCH_exec.json"
 	@echo "make scaleout      - 64-1024-node cluster projection (docs/scaling.md)"

@@ -9,6 +9,10 @@ import pathlib
 
 import pytest
 
+# the fast-vs-reference A/B guard builds its reference clusters through
+# the same seam as the tier-1 bit-identity tests
+from tests.conftest import reference_engines  # noqa: F401
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 

@@ -180,11 +180,13 @@ def test_degradation_sweep_serial_parallel_identical(tmp_path):
     })
 
 
-def test_flow_engine_ab_speedup_at_256_nodes(monkeypatch):
+def test_flow_engine_ab_speedup_at_256_nodes(monkeypatch,
+                                            reference_engines):
     """The nightly A/B guard for the pooled flow engines: one 256-node
-    GUPS run per implementation, identical simulated results, the fast
-    engine at least 3x quicker wall-clock, and no more engine events
-    than the reference.  A regression here means someone de-vectorised
+    GUPS run per implementation (the reference one inside the
+    ``reference_engines`` fixture), identical simulated results, the
+    fast engine at least 3x quicker wall-clock, and no more engine
+    events than the reference.  A regression here means someone de-vectorised
     a hot path (or taught the reference model a trick the fast one
     didn't learn)."""
     import repro.core.cluster as cluster
@@ -202,19 +204,19 @@ def test_flow_engine_ab_speedup_at_256_nodes(monkeypatch):
 
     monkeypatch.setattr(cluster, "Engine", Counted)
 
-    def one(flow_impl, reps=2):
+    def one(reps=2):
         best, result = float("inf"), None
         for _ in range(reps):               # best-of-N against noise
-            spec = ClusterSpec(n_nodes=256, seed=2017,
-                               flow_impl=flow_impl)
+            spec = ClusterSpec(n_nodes=256, seed=2017)
             engines.clear()
             t0 = time.perf_counter()
             result = run_gups(spec, "dv", **kw)
             best = min(best, time.perf_counter() - t0)
         return result, best, sum(e.events_processed for e in engines)
 
-    ref, ref_s, ref_events = one("reference")
-    fast, fast_s, fast_events = one("fast")
+    with reference_engines():
+        ref, ref_s, ref_events = one()
+    fast, fast_s, fast_events = one()
     drop = lambda r: {k: v for k, v in r.items() if k != "tracer"}
     assert drop(fast) == drop(ref)           # bit-identical simulation
     ratio = ref_s / max(fast_s, 1e-9)

@@ -49,8 +49,8 @@ def agg_point(*, dist: str, dist_params: Dict[str, float], fabric: str,
               watermark: int = 0, routing: str = "direct",
               timeout_s: Optional[float] = None, nodes: int = 8,
               seed: int = 2017, table_words: int = 1 << 10,
-              n_updates: int = 1 << 12, window: int = 64,
-              flow_impl: str = "reference") -> Dict[str, object]:
+              n_updates: int = 1 << 12, window: int = 64
+              ) -> Dict[str, object]:
     """One (distribution, fabric, watermark) GUPS sample.
 
     ``watermark=0`` turns aggregation off (the legacy per-window
@@ -68,8 +68,7 @@ def agg_point(*, dist: str, dist_params: Dict[str, float], fabric: str,
     agg = (None if watermark == 0 else
            AggSpec(watermark=int(watermark), timeout_s=timeout_s,
                    routing=routing))
-    spec = api.build_cluster(n_nodes=nodes, seed=seed,
-                             flow_impl=flow_impl, traffic=model,
+    spec = api.build_cluster(n_nodes=nodes, seed=seed, traffic=model,
                              aggregation=agg)
     r = run_gups(spec, fabric, table_words=table_words,
                  n_updates=n_updates, window=window)
@@ -97,8 +96,7 @@ def agg_table(executor: Optional["Executor"] = None, *,
               watermarks: Sequence[int] = AGG_WATERMARKS,
               routing: str = "direct",
               table_words: int = 1 << 10, n_updates: int = 1 << 12,
-              window: int = 64,
-              flow_impl: str = "reference") -> Table:
+              window: int = 64) -> Table:
     """The watermark-by-skew sweep as a rendered table.
 
     One row per (distribution, watermark): the two un-aggregated
@@ -112,8 +110,7 @@ def agg_table(executor: Optional["Executor"] = None, *,
     levels = skew_levels(exponents, include_hotset)
     common = dict(nodes=int(nodes), seed=int(seed),
                   table_words=int(table_words),
-                  n_updates=int(n_updates), window=int(window),
-                  flow_impl=flow_impl)
+                  n_updates=int(n_updates), window=int(window))
     grid = []
     for d, p in levels:
         grid.append(dict(dist=d, dist_params=p, fabric="dv",

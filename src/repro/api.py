@@ -1,4 +1,4 @@
-"""The stable programmatic facade over the repro stack (api 4.0).
+"""The stable programmatic facade over the repro stack (api 5.0).
 
 One spec, two verbs.  Everything a driver needs — regenerating paper
 figures, named parameter sweeps, 64-1024-node projections, skew /
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-__api_version__ = "4.0.0"
+__api_version__ = "5.0.0"
 
 __all__ = [
     "__api_version__",
@@ -58,7 +58,7 @@ __all__ = [
     "collect",
 ]
 
-#: Spec schema version :func:`run` understands.  api 3.0 and 4.0 only
+#: Spec schema version :func:`run` understands.  api 3.0 to 5.0 only
 #: dropped fields, so every 2.0 document they still parse means what it
 #: did.
 SPEC_VERSION = 2
@@ -72,7 +72,7 @@ _SPEC_FIELDS = {"faults": None, "tenants": ()}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment request, complete (api 4.0).
+    """One experiment request, complete (api 5.0).
 
     ``exp_id`` names a registry experiment
     (:data:`repro.core.experiments.REGISTRY`) or a named sweep
@@ -229,21 +229,25 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
 # ------------------------------------------------------------- builders ---
 
 def build_cluster(*, n_nodes: int = 32, seed: int = 2017,
-                  flow_impl: str = "reference",
-                  ib_contention: bool = True,
-                  trace: bool = False, **overrides: Any) -> "ClusterSpec":
+                  dv: Optional["DVConfig"] = None,
+                  ib: Optional["IBConfig"] = None,
+                  node: Optional["NodeModel"] = None,
+                  ib_contention: bool = True, trace: bool = False,
+                  traffic: Optional["TrafficModel"] = None,
+                  aggregation: Optional["AggSpec"] = None
+                  ) -> "ClusterSpec":
     """A :class:`~repro.core.cluster.ClusterSpec` by keyword.
 
-    ``flow_impl`` selects the flow-level engines: ``"reference"`` (the
-    scalar models the tests were written against) or ``"fast"`` (pooled
-    and vectorised, bit-identical — required for 1024-node projection
-    work).  Extra keywords pass through to the spec (``dv``, ``ib``,
-    ``node`` configs).
+    ``dv``, ``ib`` and ``node`` default to the paper testbed's configs;
+    ``traffic`` and ``aggregation`` to none (the legacy kernel paths).
     """
     from repro.core.cluster import ClusterSpec
-    return ClusterSpec(n_nodes=n_nodes, seed=seed, flow_impl=flow_impl,
+    configs = {k: v for k, v in (("dv", dv), ("ib", ib), ("node", node))
+               if v is not None}
+    return ClusterSpec(n_nodes=n_nodes, seed=seed,
                        ib_contention=ib_contention, trace=trace,
-                       **overrides)
+                       traffic=traffic, aggregation=aggregation,
+                       **configs)
 
 
 def build_traffic(*, dist: str = "uniform",

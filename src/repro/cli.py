@@ -251,7 +251,7 @@ def cmd_scaleout(args) -> Table:
         params=dict(workloads=tuple(args.workloads),
                     nodes=tuple(args.nodes),
                     fabrics=tuple(args.fabrics),
-                    seed=args.seed, flow_impl=args.flow_impl)),
+                    seed=args.seed)),
         options=_options(args))
 
 
@@ -691,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["dv", "mpi"],
                    help="scaleout: comma-separated fabrics "
                         "(default dv,mpi)")
-    p.add_argument("--flow-impl", choices=["reference", "fast"],
-                   default="fast", dest="flow_impl",
-                   help="scaleout: flow-engine implementation "
-                        "(default fast; both are bit-identical)")
     p.add_argument("--bench-file", default="BENCH_exec.json",
                    metavar="FILE",
                    help="bench: performance-trajectory JSON to print")

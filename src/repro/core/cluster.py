@@ -19,7 +19,6 @@ from repro.dv.api import DataVortexAPI
 from repro.dv.barrier import FastBarrier, HardwareBarrier
 from repro.dv.config import DVConfig
 from repro.dv.fastflow import FastFlowNetwork
-from repro.dv.flow import FlowNetwork
 from repro.dv.vic import VIC
 from repro.ib.config import IBConfig
 from repro.ib.fastfabric import FastIBFabric
@@ -42,11 +41,9 @@ class ClusterSpec:
     trace: bool = False
     #: toggle the fat-tree static-routing contention model (ablation)
     ib_contention: bool = True
-    #: flow-network implementation: ``"reference"`` (scalar, the model
-    #: the tests were written against) or ``"fast"`` (pooled/vectorised,
-    #: bit-identical — see :mod:`repro.dv.fastflow`); applies to both
-    #: fabrics' flow-level models
-    flow_impl: str = "reference"
+    #: only ``"fast"``: every cluster runs the pooled engines
+    #: (:func:`build_network`); kept so callers that name it still work
+    flow_impl: str = "fast"
     #: production-shaped load: a :class:`~repro.traffic.TrafficModel`
     #: (destination distribution + arrival process) the traffic-aware
     #: kernels honour.  ``None`` keeps every kernel on its legacy
@@ -65,10 +62,11 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        if self.flow_impl not in ("reference", "fast"):
+        if self.flow_impl != "fast":
             raise ValueError(
-                f'flow_impl must be "reference" or "fast", '
-                f'got {self.flow_impl!r}')
+                f'flow_impl must be "fast", got {self.flow_impl!r}: the '
+                f'reference engines (FlowNetwork, IBFabric) are a test '
+                f'oracle, not an option')
         if self.traffic is not None:
             from repro.traffic.model import TrafficModel
             if not isinstance(self.traffic, TrafficModel):
@@ -108,6 +106,15 @@ class RunResult:
         return max(self.values)
 
 
+def build_network(engine: Engine, spec: ClusterSpec, fabric: str) -> Any:
+    """The flow-level network of a ``spec``-sized cluster: the one place
+    a cluster's engine class is chosen (always the pooled engines)."""
+    if fabric == "dv":
+        return FastFlowNetwork(engine, spec.dv, spec.n_nodes)
+    return FastIBFabric(engine, spec.ib, spec.n_nodes,
+                        contention=spec.ib_contention)
+
+
 def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
              max_events: Optional[int] = None) -> RunResult:
     """Run ``program`` once on every rank over the chosen fabric.
@@ -142,9 +149,7 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
     contexts: List[RankContext] = []
     net_stats: Any = None
     if fabric == "dv":
-        net_cls = (FastFlowNetwork if spec.flow_impl == "fast"
-                   else FlowNetwork)
-        network = net_cls(engine, spec.dv, n)
+        network = build_network(engine, spec, fabric)
         vics = [VIC(engine, spec.dv, i, network) for i in range(n)]
         apis = [DataVortexAPI(engine, spec.dv, v, network) for v in vics]
         hw_barrier = HardwareBarrier(engine, spec.dv, vics, network)
@@ -157,11 +162,8 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
                                         spec.seed, dv=apis[r]))
         net_stats = network.stats
     else:
-        fabric_cls = (FastIBFabric if spec.flow_impl == "fast"
-                      else None)
         runtime = MPIRuntime(engine, spec.ib, n,
-                             contention=spec.ib_contention,
-                             fabric_cls=fabric_cls)
+                             fabric=build_network(engine, spec, fabric))
         for r in range(n):
             contexts.append(RankContext(engine, r, n, spec.node, tracer,
                                         spec.seed, mpi=runtime.endpoint(r)))

@@ -121,13 +121,12 @@ def _run_fig9(seed: int = 2017, n_nodes: int = 32) -> Table:
 
 
 def _run_fig_scaleout(seed: int = 2017, nodes=None, workloads=None,
-                      fabrics=None, flow_impl: str = "fast",
-                      executor=None, **overrides) -> Table:
+                      fabrics=None, executor=None,
+                      **overrides) -> Table:
     """The 64-1024-node cluster projection (§IX extended).
 
-    Rides :func:`repro.core.scaling.scaleout_sweep`: every point runs
-    the pooled ``flow_impl="fast"`` engines and fans across the
-    executor's worker pool / result cache.
+    Rides :func:`repro.core.scaling.scaleout_sweep`: every point fans
+    across the executor's worker pool / result cache.
     """
     from repro.core import scaling
     nodes = tuple(nodes) if nodes else scaling.SCALEOUT_NODES
@@ -136,7 +135,7 @@ def _run_fig_scaleout(seed: int = 2017, nodes=None, workloads=None,
     fabrics = tuple(fabrics) if fabrics else scaling.SCALEOUT_FABRICS
     rows = scaling.scaleout_sweep(workloads=workloads, nodes=nodes,
                                   fabrics=fabrics, seed=seed,
-                                  flow_impl=flow_impl, executor=executor,
+                                  executor=executor,
                                   **overrides)
     by_key = {(r["workload"], r["nodes"], r["fabric"]): r for r in rows}
     t = Table("fig_scaleout: projected per-PE and aggregate rates "
@@ -157,8 +156,7 @@ def _run_fig_scaleout(seed: int = 2017, nodes=None, workloads=None,
 def _run_fig_skew(seed: int = 2017, nodes: int = 4, exponents=None,
                   include_hotset: bool = True,
                   table_words: int = 1 << 12, n_updates: int = 1 << 9,
-                  window: int = 256, flow_impl: str = "reference",
-                  executor=None) -> Table:
+                  window: int = 256, executor=None) -> Table:
     """Fabric degradation under destination skew (docs/traffic.md).
 
     GUPS under a sweep of destination distributions — uniform
@@ -171,15 +169,14 @@ def _run_fig_skew(seed: int = 2017, nodes: int = 4, exponents=None,
         exponents=(tuple(exponents) if exponents is not None
                    else SKEW_EXPONENTS),
         include_hotset=include_hotset, table_words=table_words,
-        n_updates=n_updates, window=window, flow_impl=flow_impl)
+        n_updates=n_updates, window=window)
 
 
 def _run_fig_agg(seed: int = 2017, nodes: int = 8, exponents=None,
                  include_hotset: bool = True, watermarks=None,
                  routing: str = "direct",
                  table_words: int = 1 << 10, n_updates: int = 1 << 12,
-                 window: int = 64, flow_impl: str = "reference",
-                 executor=None) -> Table:
+                 window: int = 64, executor=None) -> Table:
     """Destination-coalescing aggregation vs fabric choice
     (docs/aggregation.md).
 
@@ -197,12 +194,11 @@ def _run_fig_agg(seed: int = 2017, nodes: int = 8, exponents=None,
         watermarks=(tuple(watermarks) if watermarks is not None
                     else AGG_WATERMARKS),
         routing=routing, table_words=table_words,
-        n_updates=n_updates, window=window, flow_impl=flow_impl)
+        n_updates=n_updates, window=window)
 
 
 def _run_fig_interference(seed: int = 2017, pairs=None, fabrics=None,
                           tenants=None, nodes_per_tenant: int = 4,
-                          flow_impl: str = "reference",
                           ib_leaf_size: int = 3, ib_uplinks: int = 2,
                           executor=None) -> Table:
     """Multi-tenant interference matrix (docs/tenancy.md).
@@ -226,8 +222,7 @@ def _run_fig_interference(seed: int = 2017, pairs=None, fabrics=None,
         fabrics=(tuple(fabrics) if fabrics is not None
                  else ("dv", "mpi")),
         nodes_per_tenant=nodes_per_tenant, seed=seed,
-        flow_impl=flow_impl, ib_leaf_size=ib_leaf_size,
-        ib_uplinks=ib_uplinks)
+        ib_leaf_size=ib_leaf_size, ib_uplinks=ib_uplinks)
 
 
 REGISTRY: Dict[str, Experiment] = {

@@ -18,12 +18,12 @@ This module develops exactly that simulation, at two levels:
   barrier and per-PE GUPS curves extend;
 * :func:`scaleout_sweep` — the full cluster projection: GUPS, BFS and
   FFT on **both** fabrics from 64 up to 1024 nodes, riding the pooled
-  ``flow_impl="fast"`` engines (:mod:`repro.dv.fastflow` /
-  :mod:`repro.ib.fastfabric`) that make thousand-node flow simulation
-  tractable.  Points fan across an :class:`~repro.exec.Executor` pool
-  and memoise in its cache; a :class:`~repro.faults.FaultPlan` can be
-  installed per point (plans are applied *inside* the point so they
-  survive the trip into pool workers).
+  engines (:mod:`repro.dv.fastflow` / :mod:`repro.ib.fastfabric`) that
+  make thousand-node flow simulation tractable.  Points fan across an
+  :class:`~repro.exec.Executor` pool and memoise in its cache; a
+  :class:`~repro.faults.FaultPlan` can be installed per point (plans
+  are applied *inside* the point so they survive the trip into pool
+  workers).
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
 
 
 def scaleout_point(workload: str, fabric: str, n_nodes: int,
-                   seed: int = 2017, flow_impl: str = "fast",
+                   seed: int = 2017,
                    plan: Optional["FaultPlan"] = None,
                    **overrides) -> Dict[str, float]:
     """One (workload, fabric, node-count) projection point.
@@ -215,7 +215,7 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
 
     params = scaleout_params(workload, n_nodes)
     params.update(overrides)
-    spec = ClusterSpec(n_nodes=n_nodes, seed=seed, flow_impl=flow_impl)
+    spec = ClusterSpec(n_nodes=n_nodes, seed=seed)
     with faults.session(plan) if plan is not None else nullcontext():
         if workload == "gups":
             r = run_gups(spec, fabric, **params)
@@ -236,7 +236,7 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
 def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
                    nodes: Sequence[int] = SCALEOUT_NODES,
                    fabrics: Sequence[str] = SCALEOUT_FABRICS,
-                   seed: int = 2017, flow_impl: str = "fast",
+                   seed: int = 2017,
                    plan: Optional["FaultPlan"] = None,
                    executor: Optional["Executor"] = None,
                    **overrides) -> List[Dict[str, float]]:
@@ -253,6 +253,6 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     from repro.exec import Executor
     executor = executor or Executor()
     grid = [{"workload": w, "fabric": f, "n_nodes": n, "seed": seed,
-             "flow_impl": flow_impl, "plan": plan, **overrides}
+             "plan": plan, **overrides}
             for w in workloads for n in nodes for f in fabrics]
     return executor.map(scaleout_point, grid, name="scaling.scaleout")

@@ -1,16 +1,17 @@
-"""Pooled, array-backed flow network — the ``flow_impl="fast"`` engine.
+"""Pooled, array-backed flow network — the engine every DV cluster runs.
 
-:class:`FastFlowNetwork` is bit-identical to :class:`FlowNetwork` on any
-seeded scenario but replaces the per-transfer Python-object machinery
-(two marker :class:`~repro.sim.events.Event` objects plus two closures
-per transfer, and a pure-Python ``min_hops`` walk per call) with:
+:class:`FastFlowNetwork` is bit-identical to :class:`FlowNetwork` (the
+model, and the test oracle) on any seeded scenario but replaces the
+per-transfer Python-object machinery (two marker
+:class:`~repro.sim.events.Event` objects plus two closures per
+transfer, and a pure-Python ``min_hops`` walk per call) with:
 
 * a **numpy structured-array message pool** — per-transfer state lives
   in flat arrays indexed by a recycled slot id, not in closure cells;
 * **lightweight engine callbacks** via :meth:`Engine.call_in` — one
   heap entry per arrival and one per ejection, with *no* Event
   allocation;
-* a precomputed **hop table** replacing ``topology.min_hops``;
+* a precomputed, shared **hop table** replacing ``topology.min_hops``;
 * a vectorised :meth:`transmit_batch` that prices a whole
   one-source/many-destination fan-out (a GUPS epoch, a counter
   exchange) in a handful of numpy operations;
@@ -50,6 +51,7 @@ group order).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heappush
 from typing import Any, List, Optional, Sequence
 
@@ -72,13 +74,16 @@ _POOL_DTYPE = np.dtype([
 ])
 
 
+@lru_cache(maxsize=None)
 def hop_table(topo: DataVortexTopology, n_ports: int) -> np.ndarray:
     """Vectorised ``min_hops`` for every (src, dest) port pair.
 
     Each height-bit mismatch between source and destination costs one
     deflection on the owning cylinder, so the descent phase takes
     ``levels + popcount(src_h ^ dest_h)`` hops; the packet then
-    circulates the innermost cylinder to the destination angle.
+    circulates the innermost cylinder to the destination angle.  The
+    table is a pure function of the (frozen, hashable) geometry and
+    ``n_ports``, so it is built once per geometry and shared read-only.
     """
     angles = topo.angles
     ports = np.arange(n_ports, dtype=np.int64)
@@ -91,7 +96,9 @@ def hop_table(topo: DataVortexTopology, n_ports: int) -> np.ndarray:
     hops = topo.levels + defl
     arrive_a = (a[:, None] + hops) % angles
     hops = hops + (a[None, :] - arrive_a) % angles
-    return hops.astype(np.int32)
+    table = hops.astype(np.int32)
+    table.flags.writeable = False
+    return table
 
 
 class _Countdown:
@@ -123,8 +130,8 @@ class FastFlowNetwork(FlowNetwork):
 
     Same constructor, same public surface (``attach`` / ``transmit`` /
     ``transmit_batch`` / ``scatter`` / ``time_of_flight`` / ``stats``),
-    same simulated timings to the last bit — selected via
-    ``ClusterSpec(flow_impl="fast")``.
+    same simulated timings to the last bit — built for every DV cluster
+    by :func:`repro.core.cluster.build_network`.
     """
 
     def __init__(self, engine: Engine, config: DVConfig,
@@ -136,7 +143,7 @@ class FastFlowNetwork(FlowNetwork):
         #: per slot: its ``done`` event, its scatter's countdown, or None
         self._dones: List[Any] = []
         self._free_slots: List[int] = []
-        self._grow(256)
+        self._grow(16)
 
     # -- pool ------------------------------------------------------------
     def _grow(self, capacity: int) -> None:

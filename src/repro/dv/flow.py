@@ -16,7 +16,9 @@ keeps the three effects that matter at application level:
    hops").
 
 ``tests/test_dv_flow_vs_cycle.py`` checks this model against the cycle
-switch on small configurations.
+switch on small configurations.  Clusters run it through the pooled
+:class:`~repro.dv.fastflow.FastFlowNetwork`; this class is its base
+and the test oracle.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Flow-model-vs-cycle-model calibration drift, tracked over PRs.
 
-The benchmark figures run on the flow-level network model
-(:mod:`repro.dv.flow`); its contract with the cycle-accurate switch is
+The benchmark figures run on the flow-level network model, in the
+pooled engine every cluster builds (:mod:`repro.dv.fastflow`, which
+this module measures); its contract with the cycle-accurate switch is
 pinned by tests (``tests/test_dv_flow_vs_cycle.py``) but only as
 pass/fail bounds — a PR can walk the calibration error right up to a
 bound without anyone noticing.  This module measures that error as a
@@ -33,7 +34,8 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
-from repro.dv import CycleSwitch, DVConfig, DataVortexTopology, FlowNetwork
+from repro.dv import CycleSwitch, DVConfig, DataVortexTopology
+from repro.dv.fastflow import FastFlowNetwork
 from repro.sim import Engine
 
 __all__ = [
@@ -59,7 +61,7 @@ _SEED = 2017
 
 def _flow_net(n_ports: int, cfg: DVConfig):
     eng = Engine()
-    return eng, FlowNetwork(eng, cfg, n_ports)
+    return eng, FastFlowNetwork(eng, cfg, n_ports)
 
 
 def _unloaded_latency(cfg: DVConfig) -> Dict[str, float]:

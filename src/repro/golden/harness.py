@@ -64,8 +64,8 @@ GOLDEN_CONFIGS: Dict[str, Dict[str, Any]] = {
     "fig7": {"seed": GOLDEN_SEED, "nodes": (2, 4)},
     "fig8": {"seed": GOLDEN_SEED, "nodes": (2,)},
     "fig9": {"seed": GOLDEN_SEED, "n_nodes": 4},
-    # one small scale-out projection point: pins the fast flow engines
-    # (flow_impl="fast" is fig_scaleout's default) into the golden set
+    # one small scale-out projection point: pins a 64-node cluster (the
+    # largest in the golden set) of the pooled flow engines
     "fig_scaleout": {"seed": GOLDEN_SEED, "nodes": (64,),
                      "workloads": ("gups",)},
     # skewed-traffic sweep at a tiny config: pins the traffic layer's

@@ -10,7 +10,9 @@ the effect that degrades unstructured (irregular) traffic on fat trees
 
 Channels are modelled as next-free-time accumulators (cut-through: a
 message's serialisation time is charged once, concurrently on every
-channel along its path).
+channel along its path).  Clusters run it through the pooled
+:class:`~repro.ib.fastfabric.FastIBFabric`; this class is its base and
+the test oracle.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Pooled IB fabric — the ``flow_impl="fast"`` engine for the fat tree.
+"""Pooled IB fabric — the engine every MPI cluster runs on the fat tree.
 
-Mirrors :mod:`repro.dv.fastflow`: per-message state moves out of marker
-:class:`~repro.sim.events.Event` objects and closures into a numpy
-structured-array pool, deliveries are scheduled with
-:meth:`Engine.call_in` (sequence parity with the reference marker
-events), and the static-routing path — a blake2b hash per message in the
-reference — is memoised per (src, dst) flow, which is exact because the
-hash is a pure function of the pair.
+:class:`FastIBFabric` is bit-identical to :class:`IBFabric` (the model,
+and the test oracle).  It mirrors :mod:`repro.dv.fastflow`: per-message
+state moves out of marker :class:`~repro.sim.events.Event` objects and
+closures into a numpy structured-array pool, deliveries are scheduled
+with :meth:`Engine.call_in` (sequence parity with the reference marker
+events), and the static-routing path — a blake2b hash per message in
+the reference — is memoised per (src, dst) flow, which is exact because
+the hash is a pure function of the pair.
 """
 
 from __future__ import annotations
@@ -29,18 +30,20 @@ class FastIBFabric(IBFabric):
     """Drop-in :class:`IBFabric` with pooled, cached internals.
 
     Same constructor, same public surface, same simulated timings to
-    the last bit — selected via ``ClusterSpec(flow_impl="fast")``.
+    the last bit — built for every MPI cluster by
+    :func:`repro.core.cluster.build_network` (and by
+    :class:`~repro.ib.mpi.MPIRuntime` when handed no fabric).
     """
 
     def __init__(self, engine, config, n_nodes: int,
                  contention: bool = True) -> None:
         super().__init__(engine, config, n_nodes, contention=contention)
         self._path_cache: Dict[Tuple[int, int], tuple] = {}
-        self._pool = np.zeros(256, _POOL_DTYPE)
-        self._kinds: List[Optional[str]] = [None] * 256
-        self._payloads: List[Any] = [None] * 256
-        self._dones: List[Optional[Event]] = [None] * 256
-        self._free_slots: List[int] = list(range(255, -1, -1))
+        self._pool = np.zeros(16, _POOL_DTYPE)
+        self._kinds: List[Optional[str]] = [None] * 16
+        self._payloads: List[Any] = [None] * 16
+        self._dones: List[Optional[Event]] = [None] * 16
+        self._free_slots: List[int] = list(range(15, -1, -1))
 
     def _cached_path(self, src: int, dst: int) -> tuple:
         key = (src, dst)

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.ib.config import IBConfig
-from repro.ib.fabric import IBFabric
+from repro.ib.fastfabric import FastIBFabric
 from repro.obs import registry as obsreg
 from repro.sim.engine import Engine
 from repro.sim.events import CompletionEvent, Event
@@ -476,20 +476,14 @@ class MPIRuntime:
     """Owns the fabric and the per-rank endpoints."""
 
     def __init__(self, engine: Engine, config: IBConfig, n_ranks: int,
-                 contention: bool = True, fabric_cls=None,
-                 fabric=None) -> None:
+                 contention: bool = True, fabric=None) -> None:
         self.engine = engine
         self.config = config
         self.n_ranks = n_ranks
-        # fabric_cls lets the cluster layer swap in the pooled
-        # FastIBFabric (flow_impl="fast") without an import cycle here;
-        # a pre-built fabric (e.g. a tenancy TenantFabricView over a
-        # shared fat tree) wins outright
-        if fabric is not None:
-            self.fabric = fabric
-        else:
-            self.fabric = (fabric_cls or IBFabric)(engine, config, n_ranks,
-                                                   contention=contention)
+        # a pre-built fabric (the cluster's, or a tenancy
+        # TenantFabricView over a shared fat tree) wins outright
+        self.fabric = fabric if fabric is not None else FastIBFabric(
+            engine, config, n_ranks, contention=contention)
         self.endpoints = [MPIEndpoint(self, r) for r in range(n_ranks)]
         self._rts_counter = itertools.count()
 

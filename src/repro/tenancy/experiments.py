@@ -74,8 +74,8 @@ def default_pairs(tenants: Optional[Sequence[str]] = None
 
 def interference_point(*, victim: str, aggressor: Optional[str],
                        fabric: str, nodes_per_tenant: int = 4,
-                       seed: int = 2017, flow_impl: str = "reference",
-                       ib_leaf_size: int = 3, ib_uplinks: int = 2,
+                       seed: int = 2017, ib_leaf_size: int = 3,
+                       ib_uplinks: int = 2,
                        workload_params: Optional[Mapping] = None
                        ) -> Dict[str, Any]:
     """One cell's raw timing: the victim alone (``aggressor=None``) or
@@ -97,7 +97,6 @@ def interference_point(*, victim: str, aggressor: Optional[str],
 
     spec = ClusterSpec(
         n_nodes=2 * int(nodes_per_tenant), seed=int(seed),
-        flow_impl=flow_impl,
         ib=IBConfig(leaf_size=int(ib_leaf_size),
                     uplinks_per_leaf=int(ib_uplinks)))
     tenants = [TenantSpec(tenant_id="victim", workload=victim,
@@ -124,7 +123,6 @@ def interference_table(executor=None, *,
                        pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
                        fabrics: Sequence[str] = ("dv", "mpi"),
                        nodes_per_tenant: int = 4, seed: int = 2017,
-                       flow_impl: str = "reference",
                        ib_leaf_size: int = 3, ib_uplinks: int = 2,
                        workload_params: Optional[Mapping] = None
                        ) -> Table:
@@ -137,8 +135,7 @@ def interference_table(executor=None, *,
     fabrics = tuple(fabrics)
 
     common = dict(nodes_per_tenant=int(nodes_per_tenant),
-                  seed=int(seed), flow_impl=flow_impl,
-                  ib_leaf_size=int(ib_leaf_size),
+                  seed=int(seed), ib_leaf_size=int(ib_leaf_size),
                   ib_uplinks=int(ib_uplinks))
     if workload_params:
         common["workload_params"] = {

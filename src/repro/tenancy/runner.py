@@ -21,16 +21,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core import cluster
 from repro.core.cluster import ClusterSpec, RunResult
 from repro.core.context import RankContext
 from repro.core.trace import Tracer
 from repro.dv.api import DataVortexAPI
 from repro.dv.barrier import FastBarrier, HardwareBarrier
-from repro.dv.fastflow import FastFlowNetwork
-from repro.dv.flow import FlowNetwork
 from repro.dv.vic import VIC
-from repro.ib.fastfabric import FastIBFabric
-from repro.ib.fabric import IBFabric
 from repro.ib.mpi import MPIRuntime
 from repro.obs import registry as obsreg
 from repro.sim.engine import Engine
@@ -85,9 +82,7 @@ def _execute(spec: ClusterSpec, runnables: Sequence[_Runnable],
     context_groups: List[List[RankContext]] = []
     net_stats: Any = None
     if fabric == "dv":
-        net_cls = (FastFlowNetwork if spec.flow_impl == "fast"
-                   else FlowNetwork)
-        network = net_cls(engine, spec.dv, n)
+        network = cluster.build_network(engine, spec, fabric)
         vics = [VIC(engine, spec.dv, i, network) for i in range(n)]
         for rn in runnables:
             part = rn.partition
@@ -109,10 +104,7 @@ def _execute(spec: ClusterSpec, runnables: Sequence[_Runnable],
                 for r in range(part.n_ranks)])
         net_stats = network.stats
     else:
-        fabric_cls = (FastIBFabric if spec.flow_impl == "fast"
-                      else IBFabric)
-        shared = fabric_cls(engine, spec.ib, n,
-                            contention=spec.ib_contention)
+        shared = cluster.build_network(engine, spec, fabric)
         for rn in runnables:
             part = rn.partition
             view = TenantFabricView(shared, part)

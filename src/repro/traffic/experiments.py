@@ -49,8 +49,7 @@ def skew_levels(exponents: Sequence[float] = SKEW_EXPONENTS,
 def skew_point(*, dist: str, dist_params: Dict[str, float], fabric: str,
                nodes: int, seed: int = 2017,
                table_words: int = 1 << 12, n_updates: int = 1 << 9,
-               window: int = 256, flow_impl: str = "reference"
-               ) -> Dict[str, object]:
+               window: int = 256) -> Dict[str, object]:
     """One (distribution, fabric) GUPS sample under shaped traffic.
 
     Module-level, keyword-only, primitives in and primitives out — the
@@ -62,8 +61,7 @@ def skew_point(*, dist: str, dist_params: Dict[str, float], fabric: str,
     import repro.api as api
 
     model: TrafficModel = model_from_names(dist, dist_params)
-    spec = api.build_cluster(n_nodes=nodes, seed=seed,
-                             flow_impl=flow_impl, traffic=model)
+    spec = api.build_cluster(n_nodes=nodes, seed=seed, traffic=model)
     r = run_gups(spec, fabric, table_words=table_words,
                  n_updates=n_updates, window=window)
     return {
@@ -82,8 +80,7 @@ def skew_table(executor: Optional["Executor"] = None, *,
                exponents: Sequence[float] = SKEW_EXPONENTS,
                include_hotset: bool = True,
                table_words: int = 1 << 12, n_updates: int = 1 << 9,
-               window: int = 256,
-               flow_impl: str = "reference") -> Table:
+               window: int = 256) -> Table:
     """The full sweep as a rendered table: one row per distribution,
     both fabrics side by side, points fanned through the executor."""
     from repro.exec import Executor
@@ -91,8 +88,7 @@ def skew_table(executor: Optional["Executor"] = None, *,
     levels = skew_levels(exponents, include_hotset)
     grid = [dict(dist=d, dist_params=p, fabric=f, nodes=int(nodes),
                  seed=int(seed), table_words=int(table_words),
-                 n_updates=int(n_updates), window=int(window),
-                 flow_impl=flow_impl)
+                 n_updates=int(n_updates), window=int(window))
             for d, p in levels for f in ("dv", "mpi")]
     rows = executor.map(skew_point, grid, name="traffic.skew")
     by_key = {(r["traffic"], r["fabric"]): r for r in rows}

@@ -1,4 +1,4 @@
-"""The api contract (4.0): one spec, two verbs, declared spec fields.
+"""The api contract (5.0): one spec, two verbs, declared spec fields.
 
 Everything the facade promises (docs/api.md): :class:`ExperimentSpec`
 carries the whole request; :func:`api.run` threads each set spec field
@@ -241,8 +241,8 @@ def test_submit_rejects_tenants_on_non_tenant_experiment(tmp_path):
 
 # ------------------------------------------------------------ version ---
 
-def test_api_version_is_four():
-    assert api.__api_version__.split(".")[0] == "4"
+def test_api_version_is_five():
+    assert api.__api_version__.split(".")[0] == "5"
     # 3.0 only dropped spec fields: 2.0 documents keep their meaning
     assert api.SPEC_VERSION == 2
     for name in ("run_figure", "run_sweep", "run_scaleout", "run_skew",

@@ -186,6 +186,13 @@ def test_scaleout_rejects_removed_shards_flag(capsys):
     assert "--shards" in capsys.readouterr().err
 
 
+def test_scaleout_rejects_removed_flow_impl_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scaleout", "--nodes", "64", "--flow-impl", "fast"])
+    assert exc.value.code == 2
+    assert "--flow-impl" in capsys.readouterr().err
+
+
 def test_verify_record_and_compare_mutually_exclusive(tmp_path):
     assert cli.main(["verify", "--record", "--compare",
                      "--goldens", str(tmp_path)]) == 2

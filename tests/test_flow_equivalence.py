@@ -1,12 +1,14 @@
 """Bit-identity of the pooled fast engines vs the scalar references.
 
-The ``flow_impl="fast"`` engines (:mod:`repro.dv.fastflow`,
+The pooled engines every cluster runs (:mod:`repro.dv.fastflow`,
 :mod:`repro.ib.fastfabric`) promise *bit-identical* simulated behaviour
 to the reference models — same delivery times, same receiver call
 sequence, same stats, same end-to-end results — across a grid of port
 counts, traffic loads, and fault plans.  These tests drive both
 implementations through identical seeded scenarios and compare
-everything observable, to the last bit.
+everything observable, to the last bit.  Cluster-level comparisons run
+the reference side inside the ``reference_engines`` fixture
+(tests/conftest.py).
 """
 
 import random
@@ -42,6 +44,11 @@ def test_hop_table_matches_min_hops(height, angles):
     for s in range(n):
         for d in range(n):
             assert table[s, d] == topo.min_hops(s, d), (s, d)
+    # built once per (levels, angles, n_ports) and shared read-only
+    again = hop_table(DataVortexTopology(height=height, angles=angles), n)
+    assert again is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 99
 
 
 # ------------------------------------------------ raw network driver ---
@@ -305,7 +312,7 @@ def test_gups_dv_32_nodes_event_budget(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(cluster, "Engine", Counted)
-    r = run_gups(ClusterSpec(n_nodes=32, seed=1, flow_impl="fast"), "dv",
+    r = run_gups(ClusterSpec(n_nodes=32, seed=1), "dv",
                  table_words=4096, n_updates=128, window=256, validate=True)
     assert r["valid"]
     assert len(engines) == 1
@@ -367,21 +374,21 @@ def _typed(r, keys):
     return {k: (type(r[k]).__name__, r[k]) for k in keys}
 
 
-def _gups(impl, fabric, plan=None, **kw):
-    spec = ClusterSpec(n_nodes=kw.pop("n_nodes", 8), flow_impl=impl)
+def _gups(fabric, plan=None, **kw):
+    spec = ClusterSpec(n_nodes=kw.pop("n_nodes", 8))
     with faults.session(plan):
         r = run_gups(spec, fabric, **kw)
     return _typed(r, ("elapsed_s", "mups_total", "mups_per_pe"))
 
 
-def _app(impl, app):
+def _app(app):
     from repro.apps import run_heat, run_vorticity
     from repro.kernels import run_pingpong
     if app == "pingpong":
-        r = run_pingpong(ClusterSpec(n_nodes=2, flow_impl=impl),
+        r = run_pingpong(ClusterSpec(n_nodes=2),
                          "dma_cached", 1 << 12, iters=4)
         return _typed(r, ("one_way_s", "bandwidth_gbs"))
-    spec = ClusterSpec(n_nodes=4, flow_impl=impl)
+    spec = ClusterSpec(n_nodes=4)
     if app == "vorticity":
         r = run_vorticity(spec, "dv", n=256, steps=2)
     else:
@@ -390,39 +397,82 @@ def _app(impl, app):
 
 
 @pytest.mark.parametrize("app", ["pingpong", "vorticity", "heat"])
-def test_apps_fast_equals_reference_in_value_and_type(app):
-    assert _app("fast", app) == _app("reference", app)
+def test_apps_fast_equals_reference_in_value_and_type(app,
+                                                      reference_engines):
+    fast = _app(app)
+    with reference_engines():
+        assert fast == _app(app)
 
 
 @pytest.mark.parametrize("fabric", ["dv", "mpi"])
-def test_gups_fast_equals_reference(fabric):
+def test_gups_fast_equals_reference(fabric, reference_engines):
     kw = dict(table_words=1 << 10, n_updates=1 << 9, window=128)
-    assert _gups("reference", fabric, **kw) == _gups("fast", fabric, **kw)
+    with reference_engines():
+        ref = _gups(fabric, **kw)
+    assert ref == _gups(fabric, **kw)
 
 
 @pytest.mark.parametrize("window", [32, 1024])
-def test_gups_fast_equals_reference_windows(window):
+def test_gups_fast_equals_reference_windows(window, reference_engines):
     kw = dict(table_words=1 << 10, n_updates=1 << 9, window=window)
-    assert _gups("reference", "dv", **kw) == _gups("fast", "dv", **kw)
+    with reference_engines():
+        ref = _gups("dv", **kw)
+    assert ref == _gups("dv", **kw)
 
 
-def test_gups_fast_equals_reference_under_faults():
+def test_gups_fast_equals_reference_under_faults(reference_engines):
     # IB drop faults are survivable end-to-end (link-level retry); raw
     # dv data drops would stall GUPS termination in either impl, so
     # flow-level fault parity is covered by the raw-driver grid above.
     plan = FaultPlan(seed=5, ib_drop_prob=0.1)
     kw = dict(table_words=1 << 10, n_updates=1 << 8, window=64)
-    assert (_gups("reference", "mpi", plan=plan, **kw)
-            == _gups("fast", "mpi", plan=plan, **kw))
+    with reference_engines():
+        ref = _gups("mpi", plan=plan, **kw)
+    assert ref == _gups("mpi", plan=plan, **kw)
+
+
+def test_reference_engines_fixture_builds_the_oracle(reference_engines):
+    import repro.core.cluster as cluster
+    spec = ClusterSpec(n_nodes=2)
+
+    def built():
+        return [type(cluster.build_network(Engine(), spec, f))
+                for f in ("dv", "mpi")]
+
+    assert built() == [FastFlowNetwork, FastIBFabric]
+    with reference_engines():
+        assert built() == [FlowNetwork, IBFabric]
+    assert built() == [FastFlowNetwork, FastIBFabric]
 
 
 def test_gups_fast_validates_against_serial_reference():
-    r = run_gups(ClusterSpec(n_nodes=4, flow_impl="fast"), "dv",
+    r = run_gups(ClusterSpec(n_nodes=4), "dv",
                  table_words=1 << 10, n_updates=1 << 8, window=64,
                  validate=True)
     assert r["valid"]
 
 
 def test_flow_impl_validation():
-    with pytest.raises(ValueError, match="flow_impl"):
-        ClusterSpec(n_nodes=4, flow_impl="turbo")
+    # the field survives single-valued; the reference engines are a
+    # test oracle (the reference_engines fixture), not an option
+    assert ClusterSpec(n_nodes=4).flow_impl == "fast"
+    for impl in ("reference", "turbo"):
+        with pytest.raises(ValueError, match="test oracle"):
+            ClusterSpec(n_nodes=4, flow_impl=impl)
+
+
+def test_build_cluster_rejects_flow_impl():
+    import repro.api as api
+    for impl in ("fast", "reference"):
+        with pytest.raises(TypeError, match="flow_impl"):
+            api.build_cluster(n_nodes=4, flow_impl=impl)
+
+
+def test_fig_scaleout_rejects_flow_impl_param():
+    import repro.api as api
+    spec = api.ExperimentSpec(exp_id="fig_scaleout",
+                              params={"nodes": (64,),
+                                      "workloads": ("gups",),
+                                      "flow_impl": "fast"})
+    with pytest.raises(TypeError, match="flow_impl"):
+        api.run(spec=spec)

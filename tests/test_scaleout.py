@@ -59,9 +59,10 @@ def test_scaleout_point_bfs(fabric):
     assert row["total"] == pytest.approx(row["per_pe"] * 8)
 
 
-def test_scaleout_point_fast_matches_reference():
-    fast = scaleout_point("gups", "dv", 64, flow_impl="fast")
-    ref = scaleout_point("gups", "dv", 64, flow_impl="reference")
+def test_scaleout_point_fast_matches_reference(reference_engines):
+    fast = scaleout_point("gups", "dv", 64)
+    with reference_engines():
+        ref = scaleout_point("gups", "dv", 64)
     assert fast == ref
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint gate: the ``repro.api`` facade honours the 4.0 contract.
+"""Lint gate: the ``repro.api`` facade honours the 5.0 contract.
 
 Ruff has no rule for "public signatures must be keyword-only", so
 ``make lint`` runs this instead (see the per-file-ignores note in
@@ -10,7 +10,7 @@ and enforces four things on ``src/repro/api.py``:
   or public method accepts positional arguments beyond ``self`` — no
   positional-only params, no positional-or-keyword params, no
   ``*args``;
-* **surface**: every name the 4.0 contract promises
+* **surface**: every name the 5.0 contract promises
   (:data:`REQUIRED_SURFACE`) is defined;
 * **removed**: none of the six 1.x entry points (:data:`REMOVED`) is
   defined again, and nothing imports ``inspect`` — runners declare the
@@ -29,7 +29,7 @@ import sys
 
 API_FILE = pathlib.Path(__file__).resolve().parents[1] / "src/repro/api.py"
 
-#: Names the api 4.0 contract promises (functions and classes).
+#: Names the api 5.0 contract promises (functions and classes).
 REQUIRED_SURFACE = {
     "ExperimentSpec", "RunOptions", "GoldenVerdict",
     "spec_to_dict", "spec_from_dict",
@@ -45,7 +45,7 @@ REMOVED = {
 }
 
 #: Required major version of ``__api_version__``.
-EXPECTED_MAJOR = 4
+EXPECTED_MAJOR = 5
 
 
 def _imports_inspect(node: ast.AST) -> bool:
@@ -107,7 +107,7 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
                         and isinstance(e.value, str))
 
     for name in sorted(REQUIRED_SURFACE - defined):
-        out.append(f"{path}:1: required api 4.0 name {name!r} is not "
+        out.append(f"{path}:1: required api 5.0 name {name!r} is not "
                    f"defined")
     for name in sorted(REMOVED & defined):
         out.append(f"{path}:1: 1.x name {name!r} was removed in 3.0 "
@@ -132,7 +132,7 @@ def main(argv: list[str]) -> int:
         print(line)
     if offences:
         print(f"check_api_signatures: {len(offences)} offence(s) — "
-              f"the repro.api 4.0 contract is broken", file=sys.stderr)
+              f"the repro.api 5.0 contract is broken", file=sys.stderr)
         return 1
     print(f"check_api_signatures: {path.name} ok")
     return 0
