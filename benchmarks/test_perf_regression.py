@@ -12,7 +12,8 @@ Measured:
   ``repro.faults`` zero-cost-when-disabled contract, same bound as the
   obs guard);
 * a small throughput-degradation sweep (GUPS vs. drop rate on both
-  fabrics), serial and parallel runs asserted identical.
+  fabrics), serial and parallel runs asserted identical;
+* fast-vs-reference engine A/B runs of 256-node GUPS on DV and on MPI.
 """
 
 import json
@@ -235,6 +236,76 @@ def test_flow_engine_ab_speedup_at_256_nodes(monkeypatch,
     assert ratio >= 3.0, (
         f"fast flow engine only {ratio:.2f}x faster than reference "
         f"({fast_s:.1f}s vs {ref_s:.1f}s) — regression below the 3x "
+        f"floor")
+
+
+def test_ib_fabric_ab_speedup_at_256_nodes(monkeypatch, reference_engines):
+    """The nightly A/B guard for the fast IB fabric: 256-node MPI GUPS
+    runs alternating between the reference fabric (inside the
+    ``reference_engines`` fixture) and the fast one, best of two each,
+    so that host drift hits both alike.  Simulated results must be
+    identical, the fast fabric may process no more engine events, and
+    it must keep at least 0.85x the reference's speed, below two thirds
+    of the 1.37x median measured on a 2-CPU x86_64 host under Python
+    3.11 (1.24-1.45x over four runs).  The fast fabric reserves integer
+    channels in a flat list and sends the chained alltoall's eager
+    messages without completion events, where the reference keys a
+    dict by tuple channels and allocates a completion per message.
+    Both hash each route once per pair here (every pair sends once),
+    and the rest of the run (engine, MPI matching, the chain) is
+    common to both, which caps the ratio."""
+    import contextlib
+
+    import repro.core.cluster as cluster
+    from repro.core.cluster import ClusterSpec
+    from repro.kernels import run_gups
+    from repro.sim.engine import Engine
+
+    kw = dict(table_words=1 << 12, n_updates=1 << 7, window=256)
+    engines = []
+
+    class Counted(Engine):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            engines.append(self)
+
+    monkeypatch.setattr(cluster, "Engine", Counted)
+
+    def one(reference):
+        spec = ClusterSpec(n_nodes=256, seed=2017)
+        engines.clear()
+        with reference_engines() if reference else contextlib.nullcontext():
+            t0 = time.perf_counter()
+            result = run_gups(spec, "mpi", **kw)
+            wall = time.perf_counter() - t0
+        return result, wall, sum(e.events_processed for e in engines)
+
+    best = {}
+    for _ in range(2):
+        for reference in (True, False):
+            run = one(reference)
+            if reference not in best or run[1] < best[reference][1]:
+                best[reference] = run
+    ref, ref_s, ref_events = best[True]
+    fast, fast_s, fast_events = best[False]
+    drop = lambda r: {k: v for k, v in r.items() if k != "tracer"}
+    assert drop(fast) == drop(ref)           # bit-identical simulation
+    ratio = ref_s / max(fast_s, 1e-9)
+    _record("ib_fabric_ab_gups256", {
+        "nodes": 256,
+        "n_updates_per_node": kw["n_updates"],
+        "reference_seconds": round(ref_s, 2),
+        "fast_seconds": round(fast_s, 2),
+        "speedup": round(ratio, 2),
+        "reference_events": ref_events,
+        "fast_events": fast_events,
+    })
+    assert fast_events <= ref_events, (
+        f"fast IB fabric processed {fast_events} engine events, more "
+        f"than the reference's {ref_events}")
+    assert ratio >= 0.85, (
+        f"fast IB fabric at {ratio:.2f}x the reference's speed "
+        f"({fast_s:.1f}s vs {ref_s:.1f}s) — regression below the 0.85x "
         f"floor")
 
 

@@ -17,7 +17,7 @@ This module develops exactly that simulation, at two levels:
   nodes running the barrier and GUPS kernels, checking that the flat
   barrier and per-PE GUPS curves extend;
 * :func:`scaleout_sweep` — the full cluster projection: GUPS, BFS and
-  FFT on **both** fabrics from 64 up to 1024 nodes, riding the pooled
+  FFT on **both** fabrics from 64 up to 1024 nodes, riding the fast
   engines (:mod:`repro.dv.fastflow` / :mod:`repro.ib.fastfabric`) that
   make thousand-node flow simulation tractable.  Points fan across an
   :class:`~repro.exec.Executor` pool and memoise in its cache; a
@@ -28,6 +28,7 @@ This module develops exactly that simulation, at two levels:
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from contextlib import nullcontext
@@ -196,6 +197,23 @@ def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
                      f"known: {SCALEOUT_WORKLOADS}")
 
 
+def _check_overrides(workloads: Sequence[str], overrides: Dict) -> None:
+    """Reject, naming the key, any override some requested workload's
+    kernel does not take: before any point runs, not inside each pool
+    worker."""
+    from repro.kernels import run_bfs, run_fft1d, run_gups
+    kernels = {"gups": run_gups, "bfs": run_bfs, "fft": run_fft1d}
+    for w in workloads:
+        scaleout_params(w, 1)           # an unknown workload raises
+        params = inspect.signature(kernels[w]).parameters
+        for key in overrides:
+            p = params.get(key)
+            if p is None or p.kind is not inspect.Parameter.KEYWORD_ONLY:
+                raise TypeError(f"scaleout_sweep: the {w!r} kernel "
+                                f"{kernels[w].__name__}() takes no "
+                                f"parameter {key!r}")
+
+
 def scaleout_point(workload: str, fabric: str, n_nodes: int,
                    seed: int = 2017,
                    plan: Optional["FaultPlan"] = None,
@@ -248,9 +266,12 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     Returns one row dict per point, ordered workload-major then
     node-count then fabric.  The full default grid — three workloads,
     five node counts to 1024, both fabrics — takes tens of minutes
-    serial; use ``Executor(workers=N)`` to spread it.
+    serial; use ``Executor(workers=N)`` to spread it.  ``overrides``
+    are kernel parameters: a key some requested workload's kernel does
+    not take raises :class:`TypeError` before any point runs.
     """
     from repro.exec import Executor
+    _check_overrides(workloads, overrides)
     executor = executor or Executor()
     grid = [{"workload": w, "fabric": f, "n_nodes": n, "seed": seed,
              "plan": plan, **overrides}

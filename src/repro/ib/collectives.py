@@ -269,7 +269,7 @@ class _Exchange:
         payload = self.chunks[dst]
         n = payload_nbytes(payload)
         if n <= ep.config.eager_threshold_bytes:
-            ep._eager(dst, payload, self.tag, n)
+            ep._inject_eager(dst, payload, self.tag, n)
             self._complete(i)
             return
         rts_id, cts = ep._rts(dst, self.tag)

@@ -10,7 +10,7 @@ the effect that degrades unstructured (irregular) traffic on fat trees
 
 Channels are modelled as next-free-time accumulators (cut-through: a
 message's serialisation time is charged once, concurrently on every
-channel along its path).  Clusters run it through the pooled
+channel along its path).  Clusters run it through
 :class:`~repro.ib.fastfabric.FastIBFabric`; this class is its base and
 the test oracle.
 """
@@ -169,3 +169,19 @@ class IBFabric:
         marker._value = None
         self.engine._enqueue(marker, delay=arrival - now)
         return done
+
+    def inject(self, src: int, dst: int, nbytes: int, *,
+               kind: str = "data", payload: Any = None) -> None:
+        """:meth:`transfer` for a sender that never waits on arrival.
+
+        The receiver callback runs exactly as for :meth:`transfer`; no
+        completion is returned.  Here it *is* :meth:`transfer` with the
+        event dropped, so the oracle's schedule is untouched.  The fast
+        fabric creates no event at all: the completion had no observers,
+        so skipping its no-op heap entry leaves every other event in the
+        same relative order.  That holds too where the chained alltoall
+        asks :meth:`Engine.peek` whether to replay a zero-delay pass
+        (``_Exchange._replay_passes``): the only events a pass it now
+        skips would have ordered the rank against are those no-ops.
+        """
+        self.transfer(src, dst, nbytes, kind=kind, payload=payload)

@@ -1,82 +1,75 @@
-"""Pooled IB fabric — the engine every MPI cluster runs on the fat tree.
+"""Fast IB fabric — the engine every MPI cluster runs on the fat tree.
 
 :class:`FastIBFabric` is bit-identical to :class:`IBFabric` (the model,
-and the test oracle).  It mirrors :mod:`repro.dv.fastflow`: per-message
-state moves out of marker :class:`~repro.sim.events.Event` objects and
-closures into a numpy structured-array pool, deliveries are scheduled
-with :meth:`Engine.call_in` (sequence parity with the reference marker
-events), and the static-routing path — a blake2b hash per message in
-the reference — is memoised per (src, dst) flow, which is exact because
-the hash is a pure function of the pair.
+and the test oracle) at one channel reservation and one heap entry per
+message: integer channels with a flat free-time list, routes cached per
+(src, dst) pair as channel-id tuples (exact, because the blake2b uplink
+hash is a pure function of the pair), deliveries as
+:meth:`Engine.call_in` entries in the reference marker event's heap
+place, and :meth:`inject`, which sends without a completion event.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-import numpy as np
-
-from repro.ib.fabric import IBFabric
+from repro.ib.fabric import IBFabric, _route_hash
 from repro.sim.events import CompletionEvent, Event
-
-_POOL_DTYPE = np.dtype([
-    ("src", np.int32),
-    ("dst", np.int32),
-    ("nbytes", np.int64),
-])
 
 
 class FastIBFabric(IBFabric):
-    """Drop-in :class:`IBFabric` with pooled, cached internals.
+    """Drop-in :class:`IBFabric`: same constructor, surface and timings.
 
-    Same constructor, same public surface, same simulated timings to
-    the last bit — built for every MPI cluster by
-    :func:`repro.core.cluster.build_network` (and by
-    :class:`~repro.ib.mpi.MPIRuntime` when handed no fabric).
+    Channel ids: ``tx`` of node ``i`` is ``i``, its ``rx`` ``n + i``;
+    uplink ``k`` of leaf ``l`` is ``2n + l*U + k``, its downlink
+    ``2n + (L + l)*U + k``.  A route lists one channel per switch hop.
+    Without contention a cross-leaf route lists ``tx`` and ``rx`` twice
+    in place of the reference's private per-flow up/down pair: the flow
+    reserves that pair only with its own ``tx`` and to the same time,
+    and free times only grow, so the pair never moves a start.
     """
 
     def __init__(self, engine, config, n_nodes: int,
                  contention: bool = True) -> None:
         super().__init__(engine, config, n_nodes, contention=contention)
-        self._path_cache: Dict[Tuple[int, int], tuple] = {}
-        self._pool = np.zeros(16, _POOL_DTYPE)
-        self._kinds: List[Optional[str]] = [None] * 16
-        self._payloads: List[Any] = [None] * 16
-        self._dones: List[Optional[Event]] = [None] * 16
-        self._free_slots: List[int] = list(range(15, -1, -1))
+        n_channels = 2 * n_nodes
+        if contention:
+            n_channels += (2 * -(-n_nodes // config.leaf_size)
+                           * config.uplinks_per_leaf)
+        self._free_at = [0.0] * n_channels
+        self._paths: list = [None] * (n_nodes * n_nodes)
 
-    def _cached_path(self, src: int, dst: int) -> tuple:
-        key = (src, dst)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._path_cache[key] = tuple(self._path(src, dst))
-        return path
+    def _route(self, src: int, dst: int) -> Tuple[int, ...]:
+        n, cfg = self.n_nodes, self.config
+        src, dst = int(src), int(dst)
+        tx, rx = src, n + dst
+        lsrc, ldst = src // cfg.leaf_size, dst // cfg.leaf_size
+        if lsrc == ldst:
+            return tx, rx
+        if not self.contention:
+            return tx, rx, tx, rx
+        u = cfg.uplinks_per_leaf
+        n_leaves = -(-n // cfg.leaf_size)
+        up = 2 * n + lsrc * u + _route_hash(src, dst, u)
+        down = 2 * n + (n_leaves + ldst) * u + _route_hash(dst, src, u)
+        return tx, up, down, rx
 
-    def _alloc(self) -> int:
-        free = self._free_slots
-        if not free:
-            old = self._pool
-            cap = old.size
-            pool = np.zeros(2 * cap, _POOL_DTYPE)
-            pool[:cap] = old
-            self._pool = pool
-            self._kinds.extend([None] * cap)
-            self._payloads.extend([None] * cap)
-            self._dones.extend([None] * cap)
-            free.extend(range(2 * cap - 1, cap - 1, -1))
-        return free.pop()
-
-    def transfer(self, src: int, dst: int, nbytes: int, *,
-                 kind: str = "data", payload: Any = None) -> Event:
-        if not 0 <= src < self.n_nodes:
+    def _reserve(self, src: int, dst: int, nbytes: int) -> float:
+        """Charge one message on its route's channels; returns the delay
+        until it arrives at ``dst``."""
+        n = self.n_nodes
+        if not 0 <= src < n:
             raise ValueError(f"bad src {src}")
-        if not 0 <= dst < self.n_nodes:
+        if not 0 <= dst < n:
             raise ValueError(f"bad dst {dst}")
         if nbytes < 0:
             raise ValueError("negative size")
         cfg = self.config
         now = self.engine.now
-        path = self._cached_path(src, dst)
+        key = src * n + dst
+        path = self._paths[key]
+        if path is None:
+            path = self._paths[key] = self._route(src, dst)
         occupancy = max(nbytes / cfg.effective_bw, cfg.msg_gap_s)
 
         retry_lat = 0.0
@@ -87,59 +80,52 @@ class FastIBFabric(IBFabric):
                 occupancy *= (k + 1)
                 retry_lat = k * fs.plan.ib_retry_timeout_s
 
-        free = self._free
+        free = self._free_at
         start = now
         for ch in path:
-            t = free.get(ch, 0.0)
+            t = free[ch]
             if t > start:
                 start = t
-        self.stats.total_queue_wait_s += start - now
+        stats = self.stats
+        stats.total_queue_wait_s += start - now
         busy_until = start + occupancy
         for ch in path:
             free[ch] = busy_until
 
         arrival = (start + occupancy + retry_lat + cfg.wire_latency_s
-                   + self.hops(src, dst) * cfg.hop_latency_s)
+                   + len(path) * cfg.hop_latency_s)
 
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
+        stats.messages += 1
+        stats.bytes += nbytes
         cross = len(path) == 4
         if cross:
-            self.stats.cross_leaf_messages += 1
+            stats.cross_leaf_messages += 1
         if self._obs_on:
             self._m_messages.inc()
             self._m_bytes.inc(nbytes)
             self._m_wait.observe(start - now)
             if cross:
                 self._m_cross.inc()
+        return arrival - now
 
+    def transfer(self, src: int, dst: int, nbytes: int, *,
+                 kind: str = "data", payload: Any = None) -> Event:
+        delay = self._reserve(src, dst, nbytes)
         done = CompletionEvent(self.engine, fabric="ib", op=kind,
                                src=src, dest=dst, nbytes=nbytes)
-        idx = self._alloc()
-        row = self._pool
-        row["src"][idx] = src
-        row["dst"][idx] = dst
-        row["nbytes"][idx] = nbytes
-        self._kinds[idx] = kind
-        self._payloads[idx] = payload
-        self._dones[idx] = done
-        self.engine.call_in(arrival - now, self._deliver, idx)
+        self.engine.call_in(delay, self._deliver, src, dst, nbytes, kind,
+                            payload, done)
         return done
 
-    def _deliver(self, idx: int) -> None:
-        row = self._pool
-        src = int(row["src"][idx])
-        dst = int(row["dst"][idx])
-        nbytes = int(row["nbytes"][idx])
-        kind = self._kinds[idx]
-        payload = self._payloads[idx]
-        done = self._dones[idx]
-        self._kinds[idx] = None
-        self._payloads[idx] = None
-        self._dones[idx] = None
-        self._free_slots.append(idx)
-        receiver = self._receivers[dst] if dst < len(self._receivers) else None
+    def inject(self, src: int, dst: int, nbytes: int, *,
+               kind: str = "data", payload: Any = None) -> None:
+        self.engine.call_in(self._reserve(src, dst, nbytes), self._deliver,
+                            src, dst, nbytes, kind, payload, None)
+
+    def _deliver(self, src: int, dst: int, nbytes: int, kind: str,
+                 payload: Any, done: Optional[Event]) -> None:
+        receiver = self._receivers[dst]
         if receiver is not None:
             receiver(src, kind, payload, nbytes)
-        done.succeed(payload)
-
+        if done is not None:
+            done.succeed(payload)

@@ -262,6 +262,14 @@ class MPIEndpoint:
         done.tag = tag      # fabric knows bytes; MPI supplies tags
         return done
 
+    def _inject_eager(self, dest: int, payload: Any, tag: int,
+                      n: int) -> None:
+        """:meth:`_eager` for a send nobody waits on (the chained
+        alltoall's sends complete when issued): no completion event."""
+        self.fabric.inject(
+            self.rank, dest, n + _CONTROL_BYTES, kind="eager",
+            payload=(tag, -1, payload, self._next_send_seq(dest)))
+
     def _rts(self, dest: int, tag: int) -> Tuple[int, Event]:
         """Open a rendezvous: send the RTS envelope; returns its id and
         the event the receiver's CTS will fire."""
@@ -475,15 +483,16 @@ class MPIEndpoint:
 class MPIRuntime:
     """Owns the fabric and the per-rank endpoints."""
 
-    def __init__(self, engine: Engine, config: IBConfig, n_ranks: int,
-                 contention: bool = True, fabric=None) -> None:
+    def __init__(self, engine: Engine, config: IBConfig, n_ranks: int, *,
+                 fabric=None) -> None:
         self.engine = engine
         self.config = config
         self.n_ranks = n_ranks
         # a pre-built fabric (the cluster's, or a tenancy
-        # TenantFabricView over a shared fat tree) wins outright
+        # TenantFabricView over a shared fat tree) carries its own
+        # contention setting; otherwise a contended fat tree
         self.fabric = fabric if fabric is not None else FastIBFabric(
-            engine, config, n_ranks, contention=contention)
+            engine, config, n_ranks)
         self.endpoints = [MPIEndpoint(self, r) for r in range(n_ranks)]
         self._rts_counter = itertools.count()
 

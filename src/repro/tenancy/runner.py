@@ -109,7 +109,6 @@ def _execute(spec: ClusterSpec, runnables: Sequence[_Runnable],
             part = rn.partition
             view = TenantFabricView(shared, part)
             runtime = MPIRuntime(engine, spec.ib, part.n_ranks,
-                                 contention=spec.ib_contention,
                                  fabric=view)
             context_groups.append([
                 RankContext(engine, r, part.n_ranks, spec.node, tracer,

@@ -23,7 +23,7 @@ determinism axis pins on every golden figure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -302,12 +302,13 @@ class TenantNetworkView:
 class TenantFabricView:
     """An IB fat tree restricted to one tenant's rank window.
 
-    Translates ranks at :meth:`attach` / :meth:`transfer`, counts
-    per-tenant ``tenant.net.messages`` / ``tenant.net.bytes``, and —
-    when the partition carries an ``ib_credits`` budget — caps the
-    tenant's in-flight transfers, queueing excess sends behind proxy
-    completion events that fire once a credit frees up.  With
-    ``ib_credits=None`` the transfer path is pure passthrough.
+    Translates ranks at :meth:`attach` / :meth:`transfer` /
+    :meth:`inject`, counts per-tenant ``tenant.net.messages`` /
+    ``tenant.net.bytes``, and — when the partition carries an
+    ``ib_credits`` budget — caps the tenant's in-flight transfers,
+    queueing excess sends behind proxy completion events that fire once
+    a credit frees up.  With ``ib_credits=None`` the transfer path is
+    pure passthrough.
     """
 
     def __init__(self, fabric, partition: TenantPartition) -> None:
@@ -346,13 +347,18 @@ class TenantFabricView:
     def hops(self, src: int, dst: int) -> int:
         return self._fabric.hops(src + self._base, dst + self._base)
 
-    def transfer(self, src: int, dst: int, nbytes: int, *,
-                 kind: str = "data", payload: Any = None) -> Event:
+    def _admit(self, src: int, dst: int, nbytes: int) -> Tuple[int, int]:
+        """Translate one send's ranks and count it for the tenant."""
         gsrc = self._xlate(src, "source")
         gdst = self._xlate(dst, "destination")
         if self._obs_on:
             self._m_messages.inc()
             self._m_bytes.inc(nbytes)
+        return gsrc, gdst
+
+    def transfer(self, src: int, dst: int, nbytes: int, *,
+                 kind: str = "data", payload: Any = None) -> Event:
+        gsrc, gdst = self._admit(src, dst, nbytes)
         if self._credits is None:
             return self._fabric.transfer(gsrc, gdst, nbytes, kind=kind,
                                          payload=payload)
@@ -363,6 +369,17 @@ class TenantFabricView:
             nbytes=nbytes, name=f"tenant:{self._part.tenant_id} queued")
         self._waitq.append((proxy, gsrc, gdst, nbytes, kind, payload))
         return proxy
+
+    def inject(self, src: int, dst: int, nbytes: int, *,
+               kind: str = "data", payload: Any = None) -> None:
+        """:meth:`transfer` without a completion, ranks translated the
+        same way.  Under a credit budget it issues through
+        :meth:`transfer`, whose completion returns the credit."""
+        if self._credits is not None:
+            self.transfer(src, dst, nbytes, kind=kind, payload=payload)
+            return
+        gsrc, gdst = self._admit(src, dst, nbytes)
+        self._fabric.inject(gsrc, gdst, nbytes, kind=kind, payload=payload)
 
     def _issue(self, gsrc: int, gdst: int, nbytes: int, kind: str,
                payload: Any, proxy: Optional[Event] = None) -> Event:

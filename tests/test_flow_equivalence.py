@@ -11,7 +11,9 @@ the reference side inside the ``reference_engines`` fixture
 (tests/conftest.py).
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -321,31 +323,46 @@ def test_gups_dv_32_nodes_event_budget(monkeypatch):
 
 # ---------------------------------------------------- IB equivalence ---
 
-def _drive_ib(fab_cls, n_nodes, seed, contention=True):
+def _drive_ib(fab_cls, n_nodes, seed, contention=True, leaf_size=8,
+              numpy_ints=False):
+    """Seeded mix of ``transfer`` (some awaited) and ``inject`` calls;
+    returns everything observable, with the types of the values the
+    receivers and stats see (``numpy_ints`` passes ranks and sizes as
+    ``np.int64``, as kernels that index numpy arrays do)."""
     engine = Engine()
-    fab = fab_cls(engine, IBConfig(), n_nodes, contention=contention)
+    fab = fab_cls(engine, IBConfig(leaf_size=leaf_size), n_nodes,
+                  contention=contention)
     log = []
     for p in range(n_nodes):
         fab.attach(p, lambda src, kind, payload, nbytes, p=p: log.append(
-            (engine.now, p, int(src), kind, payload, int(nbytes))))
+            (engine.now, p, src, type(src).__name__, kind, payload,
+             nbytes, type(nbytes).__name__)))
     rng = random.Random(seed)
+    num = np.int64 if numpy_ints else int
 
     def prog():
         for _ in range(150):
             yield engine.timeout(rng.randrange(0, 4) * 1e-7)
-            src = rng.randrange(n_nodes)
-            dst = rng.randrange(n_nodes)
-            nbytes = rng.choice([0, 8, 64, 4096])
-            ev = fab.transfer(src, dst, nbytes,
-                              kind=rng.choice(["data", "eager", "rts"]),
-                              payload=rng.randrange(99))
+            src = num(rng.randrange(n_nodes))
+            dst = num(rng.randrange(n_nodes))
+            nbytes = num(rng.choice([0, 8, 64, 4096]))
+            kind = rng.choice(["data", "eager", "rts"])
+            payload = rng.randrange(99)
+            if rng.random() < 0.4:
+                assert fab.inject(src, dst, nbytes, kind=kind,
+                                  payload=payload) is None
+                continue
+            ev = fab.transfer(src, dst, nbytes, kind=kind, payload=payload)
             if rng.random() < 0.3:
-                yield ev
+                got = yield ev
+                log.append(("done", engine.now, got, ev.src, ev.dest,
+                            ev.nbytes, ev.op))
 
     engine.run_process(prog())
-    return (log, fab.stats.messages, fab.stats.bytes,
-            fab.stats.cross_leaf_messages,
-            float(fab.stats.total_queue_wait_s), float(engine.now))
+    st = fab.stats
+    return (log, st.messages, st.bytes, type(st.bytes).__name__,
+            st.cross_leaf_messages, st.total_queue_wait_s,
+            type(st.total_queue_wait_s).__name__, engine.now)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 6, 16])
@@ -356,6 +373,26 @@ def test_ib_fast_equals_reference(n_nodes, contention):
     assert ref == fast
 
 
+@pytest.mark.parametrize("leaf_size", [1, 3, 4])
+@pytest.mark.parametrize("contention", [True, False])
+def test_ib_fast_equals_reference_across_leaf_sizes(leaf_size,
+                                                    contention):
+    # 13 nodes: a partly filled last leaf at sizes 3 and 4, and every
+    # two distinct nodes on different leaves at size 1
+    ref = _drive_ib(IBFabric, 13, leaf_size, contention, leaf_size)
+    fast = _drive_ib(FastIBFabric, 13, leaf_size, contention, leaf_size)
+    assert ref == fast
+
+
+@pytest.mark.parametrize("contention", [True, False])
+def test_ib_fast_equals_reference_with_numpy_ints(contention):
+    ref = _drive_ib(IBFabric, 12, 5, contention, 4, numpy_ints=True)
+    fast = _drive_ib(FastIBFabric, 12, 5, contention, 4, numpy_ints=True)
+    assert ref == fast
+    assert {entry[3] for entry in fast[0] if entry[0] != "done"} == \
+        {"int64"}
+
+
 def test_ib_fast_under_retry_faults():
     plan = FaultPlan(seed=3, ib_drop_prob=0.3)
     with faults.session(plan):
@@ -363,6 +400,51 @@ def test_ib_fast_under_retry_faults():
     with faults.session(plan):
         fast = _drive_ib(FastIBFabric, 8, 99)
     assert ref == fast
+
+
+@pytest.mark.parametrize("leaf_size", [2, 5])
+@pytest.mark.parametrize("contention", [True, False])
+def test_ib_fast_under_retry_faults_across_geometries(leaf_size,
+                                                      contention):
+    plan = FaultPlan(seed=11, ib_drop_prob=0.3)
+    with faults.session(plan):
+        ref = _drive_ib(IBFabric, 11, 3, contention, leaf_size)
+    with faults.session(plan):
+        fast = _drive_ib(FastIBFabric, 11, 3, contention, leaf_size)
+    assert ref == fast
+
+
+def test_ib_routes_belong_to_their_fabric():
+    """Routes are cached per fabric and go with it, so a process that
+    builds fabrics of many sizes one after another keeps none of them."""
+    def fabric(n_nodes=16, contention=True, **cfg):
+        return FastIBFabric(Engine(), IBConfig(**cfg), n_nodes,
+                            contention=contention)
+
+    first, second = fabric(), fabric()
+    first.transfer(1, 12, 64)
+    assert first._paths is not second._paths
+    assert second._paths[1 * 16 + 12] is None
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None
+    # one free-time slot per channel: tx and rx per node, plus an up
+    # and a down channel per uplink of each leaf under contention
+    assert len(fabric()._free_at) == 2 * 16 + 2 * 2 * 12
+    assert len(fabric(contention=False)._free_at) == 2 * 16
+    assert len(fabric(n_nodes=17, leaf_size=4,
+                      uplinks_per_leaf=6)._free_at) == 2 * 17 + 2 * 5 * 6
+    # filled lazily, with the same blake2b uplinks the reference uses:
+    # 16 nodes, 2 leaves of 12 uplinks -> uplinks from 32, downlinks
+    # from 32 + 2 * 12
+    fab = FastIBFabric(Engine(), IBConfig(), 16)
+    fab.transfer(1, 12, 64)
+    tx, up, down, rx = fab._paths[1 * 16 + 12]
+    assert IBFabric(Engine(), IBConfig(), 16)._path(1, 12) == [
+        ("tx", 1), ("up", 0, up - 32), ("down", 1, down - 56 - 12),
+        ("rx", 12)]
+    assert (tx, rx) == (1, 16 + 12)
 
 
 # ------------------------------------------- end-to-end application ---

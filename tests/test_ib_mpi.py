@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ib import ANY_SOURCE, ANY_TAG, IBConfig, MPIRuntime
+from repro.ib.fastfabric import FastIBFabric
 from repro.sim import Engine
 from repro.sim.events import Event
 
@@ -302,7 +303,8 @@ def test_contention_slows_colliding_flows():
     def workload(contention):
         eng = Engine()
         cfg = IBConfig(leaf_size=4, uplinks_per_leaf=1)
-        rt = MPIRuntime(eng, cfg, 8, contention=contention)
+        rt = MPIRuntime(eng, cfg, 8, fabric=FastIBFabric(
+            eng, cfg, 8, contention=contention))
 
         def fn(ep):
             if ep.rank < 4:
@@ -317,6 +319,18 @@ def test_contention_slows_colliding_flows():
         return eng.now
 
     assert workload(contention=True) > workload(contention=False)
+
+
+def test_runtime_takes_contention_only_through_its_fabric():
+    """The runtime has no ``contention=`` of its own to drop silently
+    beside a pre-built fabric: contention is the fabric's setting."""
+    eng = Engine()
+    fab = FastIBFabric(eng, IBConfig(), 4, contention=False)
+    with pytest.raises(TypeError):
+        MPIRuntime(eng, IBConfig(), 4, contention=False, fabric=fab)
+    assert MPIRuntime(eng, IBConfig(), 4, fabric=fab).fabric is fab
+    built = MPIRuntime(Engine(), IBConfig(), 4).fabric
+    assert type(built) is FastIBFabric and built.contention is True
 
 
 # ------------------------------------------------- matching-order fixes ---

@@ -75,6 +75,31 @@ def test_scaleout_sweep_grid_order():
     assert rows[0]["per_pe"] >= rows[1]["per_pe"]
 
 
+class _NoPoints:
+    """An executor that fails the test if any point is fanned out."""
+
+    def map(self, fn, grid, name=None):
+        raise AssertionError(f"{len(grid)} points ran")
+
+
+@pytest.mark.parametrize("workloads,key", [
+    (("gups",), "windw"),
+    (("gups", "fft"), "window"),      # run_fft1d takes no window
+    (("bfs",), "spec"),               # positional, not an override
+])
+def test_scaleout_sweep_rejects_untaken_override_before_any_point(
+        workloads, key):
+    with pytest.raises(TypeError, match=repr(key)):
+        scaleout_sweep(workloads=workloads, nodes=(64,),
+                       executor=_NoPoints(), **{key: 8})
+
+
+def test_scaleout_sweep_rejects_unknown_workload_before_any_point():
+    with pytest.raises(ValueError, match="unknown scale-out workload"):
+        scaleout_sweep(workloads=("lulesh",), nodes=(64,),
+                       executor=_NoPoints())
+
+
 # ----------------------------------------------------------- facade ------
 
 def test_run_scaleout_table_shape():

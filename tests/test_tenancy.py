@@ -375,6 +375,65 @@ def test_fabric_view_translates_and_guards_ranks():
         view.transfer(0, 7, 64)
 
 
+def test_fabric_view_defines_inject():
+    # __getattr__ forwards unknown names to the shared fabric, whose
+    # inject would take the tenant's local ranks as global ones
+    from repro.tenancy.views import TenantFabricView
+    assert "inject" in TenantFabricView.__dict__
+
+
+@pytest.mark.parametrize("ib_credits", [None, 1])
+def test_fabric_view_inject_translates_and_spends_credits(ib_credits):
+    from repro.ib.config import IBConfig
+    from repro.ib.fastfabric import FastIBFabric
+    from repro.sim.engine import Engine
+    from repro.tenancy.views import TenantFabricView
+    engine = Engine()
+    fab = FastIBFabric(engine, IBConfig(), 8)
+    _, part = resolve_partitions(
+        [TenantSpec(tenant_id="a", workload="gups", n_ranks=4),
+         TenantSpec(tenant_id="b", workload="gups", n_ranks=4,
+                    ib_credits=ib_credits)], 8, DVConfig())
+    view = TenantFabricView(fab, part)
+    got = []
+    view.attach(2, lambda src, kind, payload, nbytes: got.append(
+        (engine.now, src, payload)))
+    for i in range(3):
+        assert view.inject(1, 2, 64, payload=i) is None
+    # a budget of one credit holds the second and third send back
+    assert view._inflight == (0 if ib_credits is None else 1)
+    assert len(view._waitq) == (0 if ib_credits is None else 2)
+    engine.run()
+    assert [(src, payload) for _, src, payload in got] == \
+        [(1, 0), (1, 1), (1, 2)]
+    assert view._inflight == 0 and not view._waitq
+    assert fab.stats.messages == 3
+    with pytest.raises(TenantIsolationError):
+        view.inject(0, 4, 64)
+
+
+@pytest.mark.parametrize("ib_credits", [None, 4])
+def test_offset_tenant_mpi_gups_equals_solo(ib_credits):
+    """The second tenant (base 4) sends through the view's inject; its
+    ranks must be translated, and under a credit budget every credit
+    must come back, so its MPI GUPS equals the same tenant run alone."""
+    gups = dict(table_words=1 << 9, n_updates=1 << 8, window=32,
+                validate=True)
+
+    def tenant(tid):
+        return TenantSpec(tenant_id=tid, workload="gups", params=gups,
+                          n_ranks=4, ib_credits=ib_credits)
+
+    co = run_cotenants(ClusterSpec(n_nodes=8, seed=SEED),
+                       [tenant("a"), tenant("b")], fabric="mpi")
+    solo = run_cotenants(ClusterSpec(n_nodes=4, seed=SEED), [tenant("b")],
+                         fabric="mpi")
+    got, want = co.tenants["b"], solo.tenants["b"]
+    assert got["valid"] and want["valid"]
+    for key in ("elapsed_s", "mups_total", "mups_per_pe"):
+        assert got[key] == want[key], key
+
+
 # ------------------------------------------------- session shared state ---
 
 def test_nested_anonymous_agg_session_raises():
